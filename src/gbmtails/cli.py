@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -50,6 +51,7 @@ from .fitting import (
 from .killing import (
     BATCH_CSV_HEADER,
     KillSchedule,
+    _chunk_ranges,
     killed_rows_range,
     sample_killed_batch,
     write_batch_csv_fh,
@@ -158,9 +160,7 @@ def _exec_simulate(p: dict) -> CommandResult:
         levels = sample_terminal_levels(params, t, n, seed)
 
         def write(fh):
-            fh.write("value\n")
-            for v in levels:
-                fh.write("%.17g\n" % v)
+            write_sample_csv_fh(fh, levels)
 
     else:
         if p.get("nu") is None:
@@ -178,12 +178,10 @@ def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
     """Worker-sharded batch; byte-identical to the sequential path."""
     if workers <= 1 or n < 4 * workers:
         return sample_killed_batch(params, schedule, n, seed, workers=workers)
-    size = -(-n // workers)
-    ranges = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(killed_rows_range, params, schedule, seed, lo, hi)
-            for lo, hi in ranges
+            for lo, hi in _chunk_ranges(n, workers)
         ]
         parts = [f.result() for f in futures]
     return np.concatenate(parts, axis=0)
@@ -198,9 +196,18 @@ def _exec_fit(p: dict) -> CommandResult:
 
 
 def _load_fit_input(path: str) -> SampleSet:
-    """Accept the one-column sample schema or a killed-batch CSV (state column)."""
+    """Accept the one-column sample schema or a killed-batch CSV (state column).
+
+    A killed-batch CSV is first parsed by ``np.loadtxt``; its result is
+    kept only when every state is finite and positive. Any other outcome
+    falls through to the line-by-line validator, which decides what is
+    accepted and names the offending lines.
+    """
     with open(path, "r") as fh:
         header = fh.readline().strip()
+        states = _loadtxt_states(fh) if header == BATCH_CSV_HEADER else None
+    if states is not None:
+        return SampleSet(states, source=str(path))
     if header == BATCH_CSV_HEADER:
         bad: list[tuple[int, str]] = []
         values = []
@@ -227,6 +234,19 @@ def _load_fit_input(path: str) -> SampleSet:
             raise SampleCsvError("CSV contains no data rows", [])
         return SampleSet(np.array(values), source=str(path))
     return read_sample_csv(path)
+
+
+def _loadtxt_states(fh) -> np.ndarray | None:
+    """State column of the rows left in ``fh``, or None unless all parse as finite and > 0."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file warns; the validator reports it
+            states = np.loadtxt(fh, delimiter=",", usecols=1, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if states.size and np.all(np.isfinite(states)) and np.all(states > 0):
+        return states
+    return None
 
 
 def _exec_hia(p: dict) -> CommandResult:
@@ -350,9 +370,12 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
             raise ValueError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ValueError("config file must hold a flat JSON object")
-        for key, value in config.items():
-            if key in merged:
-                merged[key] = value
+        unknown = sorted(set(config) - set(merged))
+        if unknown:
+            raise ValueError(
+                f"config file has unknown key(s) for {command}: {', '.join(unknown)}"
+            )
+        merged.update(config)
     for key in DEFAULTS[command]:
         cli_value = getattr(args, key, None)
         if cli_value is not None:

@@ -28,6 +28,7 @@ regime), above it the lower tail is (stochastic regime).
 from __future__ import annotations
 
 import enum
+import io
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ import numpy as np
 
 from .killing import KillSchedule
 from .sde import GbmParams
+from .serialization import write_float_rows
 
 # Fixed proxy extremes used by limit_table, chosen once so reports are
 # reproducible without user-tuned epsilons.
@@ -353,11 +355,6 @@ LIMIT_CSV_HEADER = "limit_id,evaluated,stated,deviation,sign_agrees"
 EXPONENT_CURVE_CSV_HEADER = "alpha,m1_signed,m2_signed,m1_canonical,m2_canonical"
 
 
-def write_limit_csv(path, report: LimitReport) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(limit_csv_text(report))
-
-
 def limit_csv_text(report: LimitReport) -> str:
     lines = [LIMIT_CSV_HEADER]
     for rec in report.records:
@@ -397,12 +394,8 @@ def exponent_curves(r: float, nu: float, alpha_grid) -> np.ndarray:
 
 
 def exponent_curves_csv_text(rows: np.ndarray) -> str:
-    lines = [EXPONENT_CURVE_CSV_HEADER]
-    for row in np.asarray(rows, dtype=float):
-        lines.append(",".join("%.17g" % v for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_exponent_curves_csv(path, rows: np.ndarray) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(exponent_curves_csv_text(rows))
+    rows = np.asarray(rows, dtype=float)
+    fh = io.StringIO()
+    fh.write(EXPONENT_CURVE_CSV_HEADER + "\n")
+    write_float_rows(fh, rows, ",".join(["%.17g"] * rows.shape[1]) + "\n")
+    return fh.getvalue()

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .dpareto import DoubleParetoDist, dpareto_cdf
+from .serialization import write_float_rows
 
 MODEL_DOUBLE_PARETO = "double_pareto"
 MODEL_LOGNORMAL = "lognormal"
@@ -101,10 +102,16 @@ def read_sample_csv(path, source: str | None = None) -> SampleSet:
     return SampleSet(np.array(values), source=source if source is not None else str(path))
 
 
-def write_sample_csv_fh(fh, samples: SampleSet) -> None:
+def write_sample_csv_fh(fh, samples) -> None:
+    """Write a SampleSet, or a 1-d array of values as given, in the one-column schema.
+
+    Arrays are not validated: a simulated level that underflows to 0 or
+    overflows to inf is written as such.
+    """
+    if isinstance(samples, SampleSet):
+        samples = samples.values
     fh.write(SAMPLE_CSV_HEADER + "\n")
-    for v in samples.values:
-        fh.write("%.17g\n" % v)
+    write_float_rows(fh, np.asarray(samples, dtype=float), "%.17g\n")
 
 
 def write_sample_csv(path, samples: SampleSet) -> None:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 from .sde import GbmParams
+from .serialization import write_float_rows
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,7 @@ def write_batch_csv_fh(fh, batch: np.ndarray) -> None:
     if batch.ndim != 2 or batch.shape[1] != 2:
         raise ValueError("batch must have shape (n, 2)")
     fh.write(BATCH_CSV_HEADER + "\n")
-    for t, x in batch:
-        fh.write("%.17g,%.17g\n" % (t, x))
+    write_float_rows(fh, batch, "%.17g,%.17g\n")
 
 
 def write_batch_csv(path, batch: np.ndarray) -> None:

@@ -87,6 +87,22 @@ def dumps(obj) -> str:
     return canonical_json(obj) + "\n"
 
 
+# Rows rendered per ``%`` call by write_float_rows.
+_FORMAT_ROWS = 4096
+
+
+def write_float_rows(fh, rows: np.ndarray, row_format: str) -> None:
+    """Write ``row_format % tuple(row)`` for every row of a float array.
+
+    ``rows`` is 1-d (one field per row) or 2-d. Rows are formatted a chunk
+    at a time with one ``%`` call, which gives the same bytes as formatting
+    them one by one.
+    """
+    for lo in range(0, len(rows), _FORMAT_ROWS):
+        chunk = rows[lo : lo + _FORMAT_ROWS]
+        fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write whole file or nothing: temp file in the target dir, then rename."""
     path = os.fspath(path)

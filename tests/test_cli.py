@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from gbmtails.cli import main
+from gbmtails.cli import _load_fit_input, main
+from gbmtails.fitting import SampleCsvError
 from gbmtails.serialization import sha256_file
 
 
@@ -230,6 +231,75 @@ class TestHiaAndSweep:
         assert len(lines) == 4
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    @pytest.mark.parametrize("mode", [("killed", "--nu", "0.01"), ("gbm", "--t", "1")])
+    def test_seed_outside_64_bits_exits_2(self, capsys, tmp_path, seed, mode):
+        out_path = tmp_path / "s.csv"
+        code, _, err = run_cli(capsys, "simulate", "--mode", *mode, "--r", "0.05",
+                               "--alpha", "0.2", "--n", "10", "--seed", seed,
+                               "--out", str(out_path))
+        assert code == 2
+        assert "seed" in err
+        assert not out_path.exists()
+
+    def test_hia_seed_outside_64_bits_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "hia", "--agents", "20", "--steps", "2", "--seed", "-1")
+        assert code == 2
+        assert "seed" in err
+
+
+class TestKilledFitInput:
+    """Killed-batch CSVs read by ``fit``: the loadtxt fast path and the
+    line-numbered validator must accept and reject the same files."""
+
+    HEADER = "kill_time,state\n"
+
+    def load(self, tmp_path, body):
+        path = tmp_path / "k.csv"
+        path.write_text(self.HEADER + body)
+        return _load_fit_input(str(path))
+
+    def test_plain_rows(self, tmp_path):
+        assert self.load(tmp_path, "1,2.5\n3,4.5\n").values.tolist() == [2.5, 4.5]
+
+    def test_single_row(self, tmp_path):
+        assert self.load(tmp_path, "1,2.5\n").values.tolist() == [2.5]
+
+    def test_hash_in_field_is_malformed(self, tmp_path):
+        with pytest.raises(SampleCsvError, match="line 2: malformed row") as exc:
+            self.load(tmp_path, "1,2.5#x\n3,4.5\n")
+        assert exc.value.lines == [2]
+
+    def test_third_field_is_ignored(self, tmp_path):
+        assert self.load(tmp_path, "1,2.5,9\n3,4.5\n").values.tolist() == [2.5, 4.5]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        assert self.load(tmp_path, "\n1,2.5\n\n   \n3,4.5\n\n").values.tolist() == [2.5, 4.5]
+
+    def test_underscore_digits_follow_python_float(self, tmp_path):
+        assert self.load(tmp_path, "1,1_0\n3,4.5\n").values.tolist() == [10.0, 4.5]
+
+    def test_header_only_has_no_rows(self, tmp_path):
+        with pytest.raises(SampleCsvError, match="no data rows"):
+            self.load(tmp_path, "")
+
+    @pytest.mark.parametrize("state", ["0", "-2", "inf", "nan", "1e-400"])
+    def test_non_positive_or_non_finite_state_names_line(self, tmp_path, state):
+        with pytest.raises(SampleCsvError, match=f"line 3: invalid state value {state}") as exc:
+            self.load(tmp_path, f"1,2.5\n1,{state}\n")
+        assert exc.value.lines == [3]
+
+    def test_missing_state_field_is_malformed(self, tmp_path):
+        with pytest.raises(SampleCsvError, match="line 2: malformed row '1'"):
+            self.load(tmp_path, "1\n3,4.5\n")
+
+    def test_values_match_python_float(self, tmp_path):
+        values = [5e-324, 2.2250738585072014e-308, 0.1, 1e308, 7.0]
+        got = self.load(tmp_path, "".join("1,%r\n" % v for v in values)).values
+        assert got.tobytes() == np.array(values).tobytes()
+
+
 class TestConfigAndReplay:
     def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -241,6 +311,14 @@ class TestConfigAndReplay:
             capsys, "solve", "--config", str(config), "--alpha", "0.5"
         )
         assert json.loads(out)["regime"] == "Stochastic"
+
+    def test_config_rejects_unknown_keys(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"r": 0.05, "alpah": 0.5, "nu": 0.01}))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config), "--alpha", "0.2")
+        assert code == 2
+        assert out == ""
+        assert "alpah" in err
 
     def test_replay_reproduces_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"

@@ -1,0 +1,64 @@
+"""Golden digests: sha256 of small CLI runs, pinned across refactors.
+
+The digests were produced by the row-at-a-time implementation that the
+vectorised RNG block, chunked CSV writers and loadtxt fit reader replaced;
+any change to them is a change to the program's output bytes.
+"""
+
+import hashlib
+
+import pytest
+
+from gbmtails.cli import main
+
+KILLED = ("simulate", "--mode", "killed", "--r", "0.05", "--alpha", "0.5",
+          "--nu", "0.01", "--n", "3000")
+KILLED_SEED_7 = "02fcb99f3db241c205f95b1ac75c1043238e30406a73538c2440ddda8b75eed3"
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_killed(tmp_path, capsys, workers):
+    out = tmp_path / "k.csv"
+    assert main([*KILLED, "--seed", "7", "--workers", workers, "--out", str(out)]) == 0
+    assert _sha(out) == KILLED_SEED_7
+
+
+def test_simulate_killed_top_seed(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    assert main([*KILLED, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert _sha(out) == "390bc208a807b109aa84b6992d25baa17169d15ae6171964a4eb8b00e953ee3e"
+
+
+def test_simulate_gbm(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["simulate", "--mode", "gbm", "--r", "0.05", "--alpha", "0.5", "--t", "10",
+                 "--n", "3000", "--seed", "7", "--out", str(out)]) == 0
+    assert _sha(out) == "02edf62faa94d1b9f5af938ab4680bcf929183bdb93cadaca8cc2af9af7b6446"
+
+
+def test_fit_killed(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names its input path
+    assert main([*KILLED, "--seed", "7", "--out", "k1.csv"]) == 0
+    capsys.readouterr()
+    assert main(["fit", "k1.csv"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "963aa255f01fb15fa4ad74a2847cf712947e3f6db8ad064a8b6759a081b6913a"
+
+
+def test_hia(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    assert main(["hia", "--agents", "50", "--steps", "20", "--seed", "3", "--out", str(out)]) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert _sha(out) == "aa0dc588e7a52622ede50e2b52e49a6fbb3220eb3bddeeeeb83196d48cddb73b"
+    assert stdout == "36ba5e4707c6d5984cbec407780726c753d8e41de16121d24c8e35aead3582fe"
+
+
+def test_figure1(capsys):
+    assert main(["figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min", "0.05",
+                 "--alpha-max", "2", "--points", "200"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "7fb7bcae20326deb8fbbfc030a3d73a4556311176ac569e1d74e5861889e4955"

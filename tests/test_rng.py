@@ -84,3 +84,48 @@ def test_uniform_block_matches_per_stream_construction():
 def test_normals_from_uniforms_matches_stream_normals():
     u = RngStream(11, 0).uniforms(100)
     assert np.array_equal(normals_from_uniforms(u), RngStream(11, 0).normals(100))
+
+
+def _numpy_first_draws(seed, stream_id, width):
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+    return gen.random(width)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_uniform_block_matches_numpy_philox(seed, width):
+    for start in (0, 2**64 - 40):
+        block = StreamUniformBlock(seed, width).take(start, 40)
+        assert block.shape == (40, width)
+        for j in range(40):
+            assert block[j].tobytes() == _numpy_first_draws(seed, start + j, width).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537])
+def test_uniform_block_chunk_edges(n):
+    seed, width, start = 2**63 + 5, 5, 2**64 - 70_000
+    block = StreamUniformBlock(seed, width).take(start, n)
+    assert block.shape == (n, width)
+    edges = {0, 16_383, 16_384, 32_767, 32_768, 65_535, 65_536, n - 1}
+    for j in sorted(e for e in edges if 0 <= e < n):
+        assert block[j].tobytes() == _numpy_first_draws(seed, start + j, width).tobytes()
+
+
+def test_seeds_outside_64_bits_are_rejected():
+    for seed in (-1, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(ValueError):
+            RngStream(seed, 0)
+        with pytest.raises(ValueError):
+            StreamUniformBlock(seed, 2)
+    with pytest.raises(TypeError):
+        StreamUniformBlock(1.5, 2)
+    assert RngStream(2**64 - 1, 0).seed == 2**64 - 1
+
+
+def test_uniform_block_stream_ids_stay_in_64_bits():
+    block = StreamUniformBlock(3, 2)
+    assert block.take(2**64 - 1, 1).shape == (1, 2)
+    with pytest.raises(ValueError):
+        block.take(2**64 - 1, 2)
+    with pytest.raises(ValueError):
+        block.take(-1, 1)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,7 +6,13 @@ import os
 import numpy as np
 import pytest
 
-from gbmtails.serialization import atomic_write_text, canonical_json, dumps, sha256_file
+from gbmtails.serialization import (
+    atomic_write_text,
+    canonical_json,
+    dumps,
+    sha256_file,
+    write_float_rows,
+)
 
 
 class TestCanonicalJson:
@@ -63,3 +70,18 @@ class TestAtomicWrite:
         path = tmp_path / "out.txt"
         atomic_write_text(path, "digest me")
         assert sha256_file(path) == hashlib.sha256(b"digest me").hexdigest()
+
+
+class TestWriteFloatRows:
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+    def test_matches_row_by_row_formatting(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-320, 300, (n, 2))
+        special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308]
+        rows.ravel()[: min(rows.size, len(special))] = special[: rows.size]
+        fh = io.StringIO()
+        write_float_rows(fh, rows, "%.17g,%.17g\n")
+        assert fh.getvalue() == "".join("%.17g,%.17g\n" % (a, b) for a, b in rows)
+        fh = io.StringIO()
+        write_float_rows(fh, rows[:, 1], "%.17g\n")
+        assert fh.getvalue() == "".join("%.17g\n" % v for v in rows[:, 1])
