@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .fitting import (
     MODEL_DOUBLE_PARETO,
@@ -160,7 +159,7 @@ def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]
 @dataclass(frozen=True)
 class SweepPoint:
     noise_std: float
-    coupling: float
+    coupling: float  # coupling_out when that is the varied field, else coupling_in
     effective_alpha: float
     m1_hat: float
     preferred_model: str
@@ -230,7 +229,7 @@ def run_sweep(
         points.append(
             SweepPoint(
                 noise_std=params.noise_std,
-                coupling=params.coupling_in,
+                coupling=params.coupling_out if vary == "coupling_out" else params.coupling_in,
                 effective_alpha=float(np.mean(alphas)),
                 m1_hat=float(np.nanmean(m1s)),
                 preferred_model=preferred,
@@ -238,8 +237,26 @@ def run_sweep(
         )
     varied_values = np.array(values)
     m1_means = np.array([p.m1_hat for p in points])
-    rho = float(spearmanr(varied_values, m1_means).statistic)
+    rho = spearmanr(varied_values, m1_means)
     return SweepResult(points=tuple(points), spearman_rho=rho, varied=vary)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
+
+
+def spearmanr(x, y) -> float:
+    """Spearman rank correlation: Pearson correlation of the average ranks.
+
+    NaN when either input contains NaN or is constant.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if np.isnan(x).any() or np.isnan(y).any() or np.ptp(x) == 0 or np.ptp(y) == 0:
+        return math.nan
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])
 
 
 def _modal(labels: list[str]) -> str:

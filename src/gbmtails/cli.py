@@ -4,8 +4,10 @@ Every file-producing command writes its artifacts atomically and drops a
 run manifest (``<out>.manifest.json``) recording the command, the fully
 merged parameters, the master seed, the package version, and a sha256
 digest per output file. ``gbmtails replay <manifest>`` re-executes the
-recorded run and verifies the digests, so any artifact can be audited
-byte-for-byte.
+recorded run into a scratch directory and checks both the regenerated and
+the on-disk files against the recorded digests, so any artifact can be
+audited byte-for-byte; replay never writes the recorded files or the
+manifest.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 invariant violation (e.g. a replay that fails to reproduce).
@@ -23,7 +25,6 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -42,14 +43,12 @@ from .dpareto import (
 )
 from .fitting import (
     ALL_MODELS,
-    SampleCsvError,
     SampleSet,
     compare_models,
     read_sample_csv,
     write_sample_csv_fh,
 )
 from .killing import (
-    BATCH_CSV_HEADER,
     KillSchedule,
     _chunk_ranges,
     killed_rows_range,
@@ -57,7 +56,7 @@ from .killing import (
     write_batch_csv_fh,
 )
 from .sde import GbmParams, sample_terminal_levels
-from .serialization import atomic_write_text, dumps, sha256_file
+from .serialization import atomic_write, atomic_write_text, dumps, sha256_file
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -188,65 +187,11 @@ def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
 
 
 def _exec_fit(p: dict) -> CommandResult:
-    samples = _load_fit_input(p["input"])
+    samples = read_sample_csv(p["input"])
     models = tuple(p["models"].split(",")) if p.get("models") else ALL_MODELS
     hill_k = None if p.get("hill_k") is None else int(p["hill_k"])
     report = compare_models(samples, models=models, hill_k=hill_k)
     return _text_result(dumps(report.to_json_dict()), p.get("out"))
-
-
-def _load_fit_input(path: str) -> SampleSet:
-    """Accept the one-column sample schema or a killed-batch CSV (state column).
-
-    A killed-batch CSV is first parsed by ``np.loadtxt``; its result is
-    kept only when every state is finite and positive. Any other outcome
-    falls through to the line-by-line validator, which decides what is
-    accepted and names the offending lines.
-    """
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        states = _loadtxt_states(fh) if header == BATCH_CSV_HEADER else None
-    if states is not None:
-        return SampleSet(states, source=str(path))
-    if header == BATCH_CSV_HEADER:
-        bad: list[tuple[int, str]] = []
-        values = []
-        with open(path, "r") as fh:
-            fh.readline()
-            for lineno, line in enumerate(fh, start=2):
-                text = line.strip()
-                if not text:
-                    continue
-                fieldstr = text.split(",")
-                try:
-                    v = float(fieldstr[1])
-                except (IndexError, ValueError):
-                    bad.append((lineno, f"malformed row {text!r}"))
-                    continue
-                if not math.isfinite(v) or v <= 0:
-                    bad.append((lineno, f"invalid state value {fieldstr[1]}"))
-                else:
-                    values.append(v)
-        if bad:
-            shown = "; ".join(f"line {ln}: {why}" for ln, why in bad[:20])
-            raise SampleCsvError(f"invalid rows: {shown}", [ln for ln, _ in bad])
-        if not values:
-            raise SampleCsvError("CSV contains no data rows", [])
-        return SampleSet(np.array(values), source=str(path))
-    return read_sample_csv(path)
-
-
-def _loadtxt_states(fh) -> np.ndarray | None:
-    """State column of the rows left in ``fh``, or None unless all parse as finite and > 0."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty file warns; the validator reports it
-            states = np.loadtxt(fh, delimiter=",", usecols=1, comments=None, ndmin=1)
-    except ValueError:
-        return None
-    if states.size and np.all(np.isfinite(states)) and np.all(states > 0):
-        return states
-    return None
 
 
 def _exec_hia(p: dict) -> CommandResult:
@@ -392,22 +337,7 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
 def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
     outputs = []
     for art in result.artifacts:
-        parent = os.path.dirname(os.path.abspath(art.path))
-        if not os.path.isdir(parent):
-            raise ValueError(f"output directory does not exist: {parent}")
-    for art in result.artifacts:
-        directory = os.path.dirname(os.path.abspath(art.path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
-                art.write(fh)
-            os.replace(tmp, art.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(art.path, art.write)
         outputs.append({"path": str(art.path), "sha256": sha256_file(art.path)})
     if outputs:
         manifest = {
@@ -452,24 +382,37 @@ def _run_replay(args: argparse.Namespace) -> int:
     if command not in EXECUTORS:
         raise ValueError(f"manifest names unknown command {command!r}")
     result = EXECUTORS[command](manifest["params"])
-    outputs = _write_artifacts(command, manifest["params"], result)
+    # Regenerate into a scratch directory: replay only checks, it never
+    # writes the recorded paths or the manifest.
+    produced = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for i, art in enumerate(result.artifacts):
+            regenerated = os.path.join(scratch, str(i))
+            atomic_write(regenerated, art.write)
+            produced[str(art.path)] = sha256_file(regenerated)
     recorded = {o["path"]: o["sha256"] for o in manifest["outputs"]}
-    produced = {o["path"]: o["sha256"] for o in outputs}
-    mismatches = sorted(
+    not_reproduced = sorted(
         path
         for path in set(recorded) | set(produced)
         if recorded.get(path) != produced.get(path)
     )
+    not_on_disk = sorted(
+        path
+        for path, digest in recorded.items()
+        if not os.path.isfile(path) or sha256_file(path) != digest
+    )
     doc = {
         "command": command,
-        "reproduced": not mismatches,
-        "mismatched_paths": mismatches,
-        "outputs": outputs,
+        "reproduced": not not_reproduced,
+        "regenerated_mismatched_paths": not_reproduced,
+        "on_disk_mismatched_paths": not_on_disk,
+        "outputs": [{"path": path, "sha256": digest} for path, digest in produced.items()],
     }
     sys.stdout.write(dumps(doc))
-    if mismatches:
+    if not_reproduced or not_on_disk:
         raise ReplayMismatchError(
-            f"replay did not reproduce {len(mismatches)} output(s): {mismatches}"
+            f"replay failed: regenerated != recorded for {not_reproduced}; "
+            f"on disk != recorded (or missing) for {not_on_disk}"
         )
     return EXIT_OK
 
@@ -584,10 +527,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             return _run_replay(args)
         return _run_command(args.command, args)
-    except SampleCsvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except ValueError as exc:  # SampleCsvError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ReplayMismatchError as exc:

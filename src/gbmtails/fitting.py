@@ -14,13 +14,15 @@ under permutation of the sample.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .dpareto import DoubleParetoDist, dpareto_cdf
-from .serialization import write_float_rows
+from .killing import BATCH_CSV_HEADER
+from .serialization import atomic_write, write_float_rows
 
 MODEL_DOUBLE_PARETO = "double_pareto"
 MODEL_LOGNORMAL = "lognormal"
@@ -67,39 +69,63 @@ class SampleSet:
 
 SAMPLE_CSV_HEADER = "value"
 
+# Header of each sample CSV schema -> (field holding the value, what it is
+# called in error messages). None means the whole line; not field 0, because
+# loadtxt with usecols=0 would accept a "1,2" row.
+_SAMPLE_COLUMNS = {SAMPLE_CSV_HEADER: (None, "sample"), BATCH_CSV_HEADER: (1, "state")}
+
 
 def read_sample_csv(path, source: str | None = None) -> SampleSet:
-    """Load the one-column sample schema; bad rows are reported by line number."""
-    bad: list[tuple[int, str]] = []
-    values: list[float] = []
+    """Load a one-column sample CSV or the state column of a killed-batch CSV.
+
+    The rows are first parsed by ``np.loadtxt``; that result is kept only
+    when it is one column of finite positive values. Any other outcome
+    falls through to the line-by-line validator, which decides what is
+    accepted and names the offending lines.
+    """
+    source = source if source is not None else str(path)
     with open(path, "r") as fh:
-        header = fh.readline()
-        if header.strip() != SAMPLE_CSV_HEADER:
+        header = fh.readline().strip()
+        if header not in _SAMPLE_COLUMNS:
             raise SampleCsvError(
-                f"expected header {SAMPLE_CSV_HEADER!r}, got {header.strip()!r}", [1]
+                f"expected header {SAMPLE_CSV_HEADER!r} or {BATCH_CSV_HEADER!r}, got {header!r}",
+                [1],
             )
+        column, label = _SAMPLE_COLUMNS[header]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty file warns; the validator reports it
+                values = np.loadtxt(fh, delimiter=",", usecols=column, comments=None, ndmin=2)
+        except ValueError:
+            values = np.empty((0, 0))
+    if values.size and values.shape[1] == 1 and np.all(np.isfinite(values) & (values > 0)):
+        return SampleSet(values[:, 0], source=source)
+
+    bad: list[tuple[int, str]] = []
+    rows: list[float] = []
+    with open(path, "r") as fh:
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             text = line.strip()
             if not text:
                 continue
             try:
-                v = float(text)
-            except ValueError:
-                bad.append((lineno, f"not a number: {text!r}"))
+                field = text if column is None else text.split(",")[column]
+                v = float(field)
+            except (IndexError, ValueError):
+                bad.append((lineno, f"malformed row {text!r}"))
                 continue
-            if not math.isfinite(v):
-                bad.append((lineno, f"non-finite value {text}"))
-            elif v <= 0:
-                bad.append((lineno, f"non-positive value {text}"))
+            if not math.isfinite(v) or v <= 0:
+                bad.append((lineno, f"invalid {label} value {field}"))
             else:
-                values.append(v)
+                rows.append(v)
     if bad:
         shown = "; ".join(f"line {ln}: {why}" for ln, why in bad[:20])
         more = "" if len(bad) <= 20 else f" (+{len(bad) - 20} more)"
-        raise SampleCsvError(f"invalid sample rows: {shown}{more}", [ln for ln, _ in bad])
-    if not values:
+        raise SampleCsvError(f"invalid rows: {shown}{more}", [ln for ln, _ in bad])
+    if not rows:
         raise SampleCsvError("CSV contains no data rows", [])
-    return SampleSet(np.array(values), source=source if source is not None else str(path))
+    return SampleSet(np.array(rows), source=source)
 
 
 def write_sample_csv_fh(fh, samples) -> None:
@@ -115,8 +141,7 @@ def write_sample_csv_fh(fh, samples) -> None:
 
 
 def write_sample_csv(path, samples: SampleSet) -> None:
-    with open(path, "w", newline="\n") as fh:
-        write_sample_csv_fh(fh, samples)
+    atomic_write(path, lambda fh: write_sample_csv_fh(fh, samples))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 from .sde import GbmParams
-from .serialization import write_float_rows
+from .serialization import atomic_write, write_float_rows
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ def write_batch_csv_fh(fh, batch: np.ndarray) -> None:
 
 def write_batch_csv(path, batch: np.ndarray) -> None:
     """Serialize a killed batch as CSV with header ``kill_time,state``."""
-    with open(path, "w", newline="\n") as fh:
-        write_batch_csv_fh(fh, batch)
+    atomic_write(path, lambda fh: write_batch_csv_fh(fh, batch))
 
 
 def read_batch_csv(path) -> np.ndarray:

@@ -103,14 +103,15 @@ def write_float_rows(fh, rows: np.ndarray, row_format: str) -> None:
         fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write whole file or nothing: temp file in the target dir, then rename."""
+def atomic_write(path, write) -> None:
+    """Write whole file or nothing: ``write(fh)`` fills a temp file in the
+    target dir, which is then renamed over ``path``."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -118,6 +119,10 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write(path, lambda fh: fh.write(text))
 
 
 def sha256_file(path) -> str:

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.stats import kstest
 
 from gbmtails.agents import (
@@ -11,6 +13,7 @@ from gbmtails.agents import (
     init_population,
     run_hia,
     run_sweep,
+    spearmanr,
     step_population,
     sweep_csv_text,
 )
@@ -167,6 +170,12 @@ class TestSweep:
         assert lines[0] == "noise_std,coupling,effective_alpha,m1_hat,preferred_model,spearman_rho"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("vary", ["coupling_in", "coupling_out"])
+    def test_coupling_column_records_the_varied_coupling(self, vary):
+        base = params(n_agents=40, steps=3, coupling_in=0.05, coupling_out=0.02)
+        result = run_sweep(base, vary, [0.1, 0.2], n_seeds=1, master_seed=1)
+        assert [p.coupling for p in result.points] == [0.1, 0.2]
+
     def test_rejects_bad_requests(self):
         base = params()
         with pytest.raises(ValueError):
@@ -175,3 +184,31 @@ class TestSweep:
             run_sweep(base, "noise_std", [0.1], 1, 0)
         with pytest.raises(ValueError):
             run_sweep(base, "noise_std", [0.1, 0.2], 0, 0)
+
+
+class TestSpearman:
+    def test_bit_equal_to_scipy(self):
+        rng = np.random.default_rng(20)
+        for trial in range(2000):
+            n = int(rng.integers(2, 12))
+            if trial % 3 == 0:
+                x, y = rng.standard_normal(n), rng.standard_normal(n)
+            elif trial % 3 == 1:  # heavy ties
+                x, y = rng.integers(0, 3, n).astype(float), rng.integers(0, 4, n).astype(float)
+            else:
+                x = rng.standard_normal(n)
+                y = x[rng.permutation(n)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # scipy warns on constant input
+                expected = stats.spearmanr(x, y).statistic
+            got = spearmanr(x, y)
+            if math.isnan(expected):
+                assert math.isnan(got)
+            else:
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (x, y)
+
+    @pytest.mark.parametrize("x, y", [([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                                      ([1.0, 2.0, math.nan], [1.0, 2.0, 3.0])])
+    def test_constant_or_nan_input_is_nan(self, x, y):
+        assert math.isnan(spearmanr(x, y))
+        assert math.isnan(spearmanr(y, x))

@@ -1,13 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from gbmtails.cli import _load_fit_input, main
-from gbmtails.fitting import SampleCsvError
+from gbmtails.cli import main
+from gbmtails.fitting import SampleCsvError, read_sample_csv
 from gbmtails.serialization import sha256_file
 
 
@@ -258,7 +259,7 @@ class TestKilledFitInput:
     def load(self, tmp_path, body):
         path = tmp_path / "k.csv"
         path.write_text(self.HEADER + body)
-        return _load_fit_input(str(path))
+        return read_sample_csv(str(path))
 
     def test_plain_rows(self, tmp_path):
         assert self.load(tmp_path, "1,2.5\n3,4.5\n").values.tolist() == [2.5, 4.5]
@@ -300,6 +301,67 @@ class TestKilledFitInput:
         assert got.tobytes() == np.array(values).tobytes()
 
 
+class TestValueFitInput:
+    """One-column sample CSVs read by ``fit``: the same edge cases as the
+    killed schema, with the outcomes of the line-by-line reader."""
+
+    def load(self, tmp_path, text):
+        path = tmp_path / "v.csv"
+        path.write_bytes(text.encode())
+        return read_sample_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "body, values",
+        [
+            ("1.5\n2.5\n", [1.5, 2.5]),
+            ("1.5\n", [1.5]),
+            ("1_0\n2\n", [10.0, 2.0]),
+            ("\n1\n\n   \n2\n\n", [1.0, 2.0]),
+            ("1\r\n2\r\n", [1.0, 2.0]),
+            (" 1.5 \n+2\n", [1.5, 2.0]),
+        ],
+    )
+    def test_accepted(self, tmp_path, body, values):
+        assert self.load(tmp_path, "value\n" + body).values.tolist() == values
+
+    @pytest.mark.parametrize(
+        "body, lines",
+        [
+            ("1,2\n", [2]),  # loadtxt reads a single 2-field row as 1-d
+            ("1,2\n3,4\n", [2, 3]),
+            ("1.5\n1,2\n", [3]),
+            ("#\n1\n", [2]),
+            ("1#x\n2\n", [2]),
+            ("1e-400\n2\n", [2]),
+            ("1.5\n0\n", [3]),
+            ("1.5\n-2\n", [3]),
+            ("1.5\ninf\n", [3]),
+            ("1.5\nnan\n", [3]),
+        ],
+    )
+    def test_rejected_rows_are_named(self, tmp_path, body, lines):
+        with pytest.raises(SampleCsvError) as exc:
+            self.load(tmp_path, "value\n" + body)
+        assert exc.value.lines == lines
+        assert f"line {lines[0]}:" in str(exc.value)
+
+    def test_header_only_has_no_rows(self, tmp_path):
+        with pytest.raises(SampleCsvError, match="no data rows") as exc:
+            self.load(tmp_path, "value\n")
+        assert exc.value.lines == []
+
+    @pytest.mark.parametrize("header", ["values", "", "value,", "kill_time,state,x"])
+    def test_wrong_header_is_line_1(self, tmp_path, header):
+        with pytest.raises(SampleCsvError, match="expected header") as exc:
+            self.load(tmp_path, header + "\n1.0\n")
+        assert exc.value.lines == [1]
+
+    def test_values_match_python_float(self, tmp_path):
+        values = [5e-324, 2.2250738585072014e-308, 0.1, 1e308, 7.0]
+        got = self.load(tmp_path, "value\n" + "".join("%r\n" % v for v in values)).values
+        assert got.tobytes() == np.array(values).tobytes()
+
+
 class TestConfigAndReplay:
     def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -325,12 +387,29 @@ class TestConfigAndReplay:
         run_cli(capsys, "figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min",
                 "0.05", "--alpha-max", "2", "--points", "50", "--out", str(out_path))
         manifest = str(out_path) + ".manifest.json"
-        out_path.unlink()  # replay must regenerate it
-        code, out, _ = run_cli(capsys, "replay", manifest)
-        assert code == 0
+        out_path.unlink()  # replay must report it, not regenerate it
+        code, out, err = run_cli(capsys, "replay", manifest)
+        assert code == 4
         doc = json.loads(out)
         assert doc["reproduced"] is True
-        assert out_path.exists()
+        assert doc["regenerated_mismatched_paths"] == []
+        assert doc["on_disk_mismatched_paths"] == [str(out_path)]
+        assert not out_path.exists()
+
+    def test_replay_never_repairs_artifact_or_manifest(self, capsys, tmp_path):
+        out_path = tmp_path / "fig.csv"
+        run_cli(capsys, "figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min",
+                "0.05", "--alpha-max", "2", "--points", "10", "--out", str(out_path))
+        manifest_path = tmp_path / "fig.csv.manifest.json"
+        out_path.write_text("tampered\n")
+        manifest_bytes = manifest_path.read_bytes()
+        for _ in range(2):  # a failed replay must not make the next one pass
+            code, out, _ = run_cli(capsys, "replay", str(manifest_path))
+            assert code == 4
+            assert json.loads(out)["on_disk_mismatched_paths"] == [str(out_path)]
+            assert out_path.read_text() == "tampered\n"
+            assert manifest_path.read_bytes() == manifest_bytes
+            assert sorted(os.listdir(tmp_path)) == ["fig.csv", "fig.csv.manifest.json"]
 
     def test_replay_of_simulation_manifest(self, capsys, tmp_path):
         out_path = tmp_path / "k.csv"
@@ -350,9 +429,14 @@ class TestConfigAndReplay:
         doc = json.loads(manifest_path.read_text())
         doc["outputs"][0]["sha256"] = "0" * 64
         manifest_path.write_text(json.dumps(doc))
+        manifest_bytes = manifest_path.read_bytes()
         code, out, err = run_cli(capsys, "replay", str(manifest_path))
         assert code == 4
         assert "replay" in err
+        reply = json.loads(out)
+        assert reply["regenerated_mismatched_paths"] == [str(out_path)]
+        assert reply["on_disk_mismatched_paths"] == [str(out_path)]
+        assert manifest_path.read_bytes() == manifest_bytes
 
 
 class TestEntryPoint:

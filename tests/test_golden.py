@@ -1,8 +1,10 @@
 """Golden digests: sha256 of small CLI runs, pinned across refactors.
 
 The digests were produced by the row-at-a-time implementation that the
-vectorised RNG block, chunked CSV writers and loadtxt fit reader replaced;
-any change to them is a change to the program's output bytes.
+vectorised RNG block, chunked CSV writers and loadtxt fit reader replaced
+(the gbm ``fit`` and ``sweep`` digests by the line-by-line one-column reader
+and scipy's ``spearmanr``, before the shared loadtxt sample reader and the
+numpy Spearman); any change to them is a change to the program's output bytes.
 """
 
 import hashlib
@@ -49,6 +51,16 @@ def test_fit_killed(tmp_path, capsys, monkeypatch):
     assert digest == "963aa255f01fb15fa4ad74a2847cf712947e3f6db8ad064a8b6759a081b6913a"
 
 
+def test_fit_gbm(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report names its input path
+    assert main(["simulate", "--mode", "gbm", "--r", "0.05", "--alpha", "0.5", "--t", "10",
+                 "--n", "3000", "--seed", "7", "--out", "g1.csv"]) == 0
+    capsys.readouterr()
+    assert main(["fit", "g1.csv"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "27f82032a2fc6859b37ff26e421a3407ddc59b185a02695edaa6dd74e861ddd3"
+
+
 def test_hia(tmp_path, capsys):
     out = tmp_path / "h.csv"
     assert main(["hia", "--agents", "50", "--steps", "20", "--seed", "3", "--out", str(out)]) == 0
@@ -62,3 +74,13 @@ def test_figure1(capsys):
                  "--alpha-max", "2", "--points", "200"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "7fb7bcae20326deb8fbbfc030a3d73a4556311176ac569e1d74e5861889e4955"
+
+
+def test_sweep(tmp_path, capsys):
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--vary", "noise_std", "--min", "0.1", "--max", "0.5",
+                 "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "15",
+                 "--seed", "5", "--out", str(out)]) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert _sha(out) == "4d8048fafc95fb4abde8edfab1bb9dfb38b933aec15c481fd6ccbd7684423a55"
+    assert stdout == "638e4e42be58e8d6b721346a044715f36dfd189642bb986340247efc4385b910"

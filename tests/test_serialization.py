@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gbmtails.serialization import (
+    atomic_write,
     atomic_write_text,
     canonical_json,
     dumps,
@@ -63,6 +64,19 @@ class TestAtomicWrite:
         atomic_write_text(path, "x" * 1000)
         leftovers = [p for p in os.listdir(tmp_path) if p != "out.txt"]
         assert leftovers == []
+
+    def test_failed_writer_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def write(fh):
+            fh.write("partial")
+            raise RuntimeError("writer failed")
+
+        with pytest.raises(RuntimeError, match="writer failed"):
+            atomic_write(path, write)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_sha256_matches_content(self, tmp_path):
         import hashlib
