@@ -69,8 +69,12 @@ class HiaParams:
 
 @dataclass(frozen=True)
 class Population:
+    """Agent sizes after ``step`` updates. ``clamped`` counts the agent
+    updates, initial draw included, that were raised to the floor."""
+
     sizes: np.ndarray
     step: int = 0
+    clamped: int = 0
 
     def __post_init__(self):
         sizes = np.asarray(self.sizes, dtype=float)
@@ -86,14 +90,12 @@ class Population:
 def _agent_normals(rng: RngStream, n: int) -> np.ndarray:
     """Next shock for each of n agents, one per memoized per-agent substream.
 
-    Agent i always draws from substream i of the master stream, so
-    exchanging two agents exchanges their whole shock histories and the
-    update commutes with relabeling.
+    Agent i's k-th shock is the inverse-CDF normal of draw k of substream i
+    of the master stream, so exchanging two agents exchanges their whole
+    shock histories and the update commutes with relabeling. The draws come
+    through ``rng.substream_uniforms``, which reads them ahead in blocks.
     """
-    u = np.empty(n)
-    for i in range(n):
-        u[i] = rng.substream(i).uniform()
-    return normals_from_uniforms(u)
+    return normals_from_uniforms(rng.substream_uniforms(n))
 
 
 def _stable_mean(sizes: np.ndarray) -> float:
@@ -101,22 +103,27 @@ def _stable_mean(sizes: np.ndarray) -> float:
     return float(np.sum(np.sort(sizes)) / sizes.size)
 
 
+def _clamp(sizes: np.ndarray, floor: float) -> int:
+    """Raise sizes below ``floor`` to it in place; returns how many were raised."""
+    clamped = int(np.count_nonzero(sizes < floor))
+    np.maximum(sizes, floor, out=sizes)
+    return clamped
+
+
 def init_population(params: HiaParams, rng: RngStream) -> Population:
     """Lognormal initial sizes (log-mean 0, log-std noise_std), clamped at the floor."""
     z = _agent_normals(rng, params.n_agents)
     sizes = np.exp(params.noise_std * z)
-    np.maximum(sizes, params.floor, out=sizes)
-    return Population(sizes=sizes, step=0)
+    clamped = _clamp(sizes, params.floor)
+    return Population(sizes=sizes, step=0, clamped=clamped)
 
 
 def _update_sizes(sizes: np.ndarray, growth: np.ndarray, params: HiaParams) -> np.ndarray:
-    """Synchronous update core: equivariant under joint permutation of
-    sizes and growth factors (the mean is order-independent by sorted
-    summation), which is what makes agents exchangeable."""
+    """Synchronous update core, before the floor: equivariant under joint
+    permutation of sizes and growth factors (the mean is order-independent
+    by sorted summation), which is what makes agents exchangeable."""
     wbar = _stable_mean(sizes)
-    new_sizes = growth * sizes + params.coupling_in * wbar - params.coupling_out * wbar * sizes
-    np.maximum(new_sizes, params.floor, out=new_sizes)
-    return new_sizes
+    return growth * sizes + params.coupling_in * wbar - params.coupling_out * wbar * sizes
 
 
 def step_population(pop: Population, params: HiaParams, rng: RngStream) -> Population:
@@ -126,7 +133,9 @@ def step_population(pop: Population, params: HiaParams, rng: RngStream) -> Popul
         raise ValueError("population size does not match params.n_agents")
     z = _agent_normals(rng, params.n_agents)
     growth = np.exp(params.drift + params.noise_std * z)
-    return Population(sizes=_update_sizes(sizes, growth, params), step=pop.step + 1)
+    new_sizes = _update_sizes(sizes, growth, params)
+    clamped = _clamp(new_sizes, params.floor)
+    return Population(sizes=new_sizes, step=pop.step + 1, clamped=pop.clamped + clamped)
 
 
 def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]:

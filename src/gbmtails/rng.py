@@ -10,6 +10,13 @@ samplers take the leading uniforms of many streams at once from
 :class:`StreamUniformBlock`, which evaluates Philox itself and so depends
 on no private bit-generator state.
 
+Agent simulations take the next draw of each of substreams ``0..n-1`` in
+one call with :meth:`RngStream.substream_uniforms`, which reads each
+child's draws ahead in blocks of 64. Its results equal drawing from each
+``substream(i)`` in turn, but the read-ahead advances the children, so
+draw from a child either through ``substream_uniforms`` or directly, never
+both.
+
 Normal variates are produced by applying the inverse normal CDF to the
 uniform stream. The monotone coupling this induces (larger uniform, larger
 normal) is relied on by paired-seed tests elsewhere, so do not swap in a
@@ -26,6 +33,8 @@ _UINT64_MASK = (1 << 64) - 1
 # Smallest uniform the inverse CDF is allowed to see; the bit generator
 # emits 0.0 with probability 2**-53 and ndtri(0) would be -inf.
 _U_FLOOR = 2.0 ** -53
+# Draws each substream reads ahead in RngStream.substream_uniforms.
+_READ_AHEAD = 64
 
 
 def _check_seed(seed) -> int:
@@ -42,6 +51,9 @@ class RngStream:
 
     The stream is stateful: each draw advances it. Never share one stream
     between concurrent workers; give each worker its own ``stream_id``.
+
+    ``substream_uniforms`` keeps up to 64 read-ahead draws per child, so a
+    child used through it must not also be drawn from directly.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -51,10 +63,15 @@ class RngStream:
         if stream_id < 0 or stream_id >= (1 << 64):
             raise ValueError("stream_id must be a non-negative 64-bit integer")
         self.stream_id = int(stream_id)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        )
+        self._start(np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64)))
+
+    def _start(self, bit_generator) -> None:
+        self._gen = np.random.Generator(bit_generator)
         self._children: dict[int, "RngStream"] = {}
+        # substream_uniforms read-ahead: child i's next draw is
+        # _ahead[i, _cursor[i]]; a cursor at _READ_AHEAD means none is left.
+        self._ahead = np.empty((0, _READ_AHEAD))
+        self._cursor = np.empty(0, dtype=int)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -102,10 +119,32 @@ class RngStream:
         sub = RngStream.__new__(RngStream)
         sub.seed = self.seed
         sub.stream_id = self.stream_id
-        sub._gen = np.random.Generator(np.random.Philox(seed=ss))
-        sub._children = {}
+        sub._start(np.random.Philox(seed=ss))
         self._children[child] = sub
         return sub
+
+    def substream_uniforms(self, n: int) -> np.ndarray:
+        """Next uniform of each of substreams ``0..n-1``.
+
+        Bytes equal ``[self.substream(i).uniform() for i in range(n)]``, but
+        each child is drawn from 64 uniforms at a time, so there is one
+        Python-level draw per child per 64 calls instead of one per call.
+        Each child keeps its own cursor, so calls may differ in ``n``.
+        """
+        n = int(n)
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        grow = n - self._cursor.size
+        if grow > 0:
+            self._ahead = np.concatenate([self._ahead, np.empty((grow, _READ_AHEAD))])
+            self._cursor = np.concatenate([self._cursor, np.full(grow, _READ_AHEAD)])
+        cursor = self._cursor[:n]
+        for i in np.flatnonzero(cursor == _READ_AHEAD).tolist():
+            self._ahead[i] = self.substream(i).uniforms(_READ_AHEAD)
+            cursor[i] = 0
+        u = self._ahead[np.arange(n), cursor]
+        cursor += 1
+        return u
 
 
 # Philox4x64-10 constants, as in numpy's ``Philox`` bit generator.

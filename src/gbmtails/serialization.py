@@ -12,7 +12,6 @@ import enum
 import hashlib
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -103,12 +102,22 @@ def write_float_rows(fh, rows: np.ndarray, row_format: str) -> None:
         fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
+# Flags for the temp file: a new file only, binary on platforms that
+# translate newlines at the descriptor level.
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
 def atomic_write(path, write) -> None:
     """Write whole file or nothing: ``write(fh)`` fills a temp file in the
-    target dir, which is then renamed over ``path``."""
+    target dir, which is then renamed over ``path``.
+
+    The temp file is created with mode 0o666 less the umask, as a plain
+    ``open(path, "w")`` would create ``path``.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, _TEMP_FLAGS, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             write(fh)

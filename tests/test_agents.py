@@ -17,9 +17,38 @@ from gbmtails.agents import (
     step_population,
     sweep_csv_text,
 )
-from gbmtails.rng import RngStream
+from gbmtails.fitting import SampleSet, compare_models
+from gbmtails.rng import RngStream, normals_from_uniforms
 from gbmtails.sde import GbmParams, terminal_log_law
 from gbmtails.serialization import dumps
+
+
+def reference_run_hia(p: HiaParams, seed: int):
+    """run_hia written out with one ``substream(i).uniform()`` per agent per
+    step; returns (sizes, effective_alpha, report, floor clamp count)."""
+    rng = RngStream(seed, 0)
+
+    def normals():
+        return normals_from_uniforms(
+            np.array([rng.substream(i).uniform() for i in range(p.n_agents)]))
+
+    def clamp(x):
+        return np.maximum(x, p.floor), int(np.sum(x < p.floor))
+
+    sizes, clamped = clamp(np.exp(p.noise_std * normals()))
+    window_start = p.steps - max(1, p.steps // 10)
+    log_growth = []
+    for k in range(p.steps):
+        growth = np.exp(p.drift + p.noise_std * normals())
+        wbar = float(np.sum(np.sort(sizes)) / sizes.size)
+        new, c = clamp(growth * sizes + p.coupling_in * wbar - p.coupling_out * wbar * sizes)
+        clamped += c
+        if k >= window_start:
+            log_growth.append(np.log(new / sizes))
+        sizes = new
+    report = compare_models(
+        SampleSet(sizes, source=f"hia(seed={seed}, noise_std={p.noise_std})"))
+    return sizes, float(np.std(np.concatenate(log_growth))), report, clamped
 
 
 def params(**overrides) -> HiaParams:
@@ -71,6 +100,26 @@ class TestInit:
     def test_floor_clamp(self):
         pop = init_population(params(n_agents=5000, noise_std=5.0, floor=0.5), RngStream(2, 0))
         assert np.all(pop.sizes >= 0.5)
+
+
+class TestClampCount:
+    def test_zero_noise_without_clamping_counts_zero(self):
+        p = params(noise_std=0.0, steps=10)
+        rng = RngStream(1, 0)
+        pop = init_population(p, rng)
+        for _ in range(p.steps):
+            pop = step_population(pop, p, rng)
+        assert pop.clamped == 0
+
+    def test_count_matches_hand_stepped_loop(self):
+        p = params(n_agents=200, noise_std=5.0, floor=0.5, steps=12)
+        rng = RngStream(6, 0)
+        pop = init_population(p, rng)
+        for _ in range(p.steps):
+            pop = step_population(pop, p, rng)
+        *_, expected = reference_run_hia(p, seed=6)
+        assert pop.clamped > 0
+        assert pop.clamped == expected
 
 
 class TestStep:
@@ -133,6 +182,18 @@ class TestRunHia:
         rng = RngStream(21, 0)
         manual = step_population(init_population(p, rng), p, rng)
         assert pop.sizes.tobytes() == manual.sizes.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+    def test_equals_per_agent_per_step_draws(self, steps):
+        # a floor high enough that some agents are clamped (asserted below)
+        p = params(n_agents=30, noise_std=1.0, coupling_out=0.3, floor=0.2, steps=steps)
+        pop, effective_alpha, report = run_hia(p, seed=19)
+        sizes, ref_alpha, ref_report, clamped = reference_run_hia(p, seed=19)
+        assert clamped > 0
+        assert pop.clamped == clamped
+        assert pop.sizes.tobytes() == sizes.tobytes()
+        assert np.float64(effective_alpha).tobytes() == np.float64(ref_alpha).tobytes()
+        assert dumps(report.to_json_dict()) == dumps(ref_report.to_json_dict())
 
     def test_fit_report_bytes_are_reproducible(self):
         p = params(n_agents=300, steps=60)

@@ -51,6 +51,18 @@ class TestSolve:
         assert code == 2
         assert "--nu" in err
 
+    def test_artifact_and_manifest_modes_follow_umask(self, capsys, tmp_path):
+        out = tmp_path / "s.json"
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2",
+                                 "--nu", "0.01", "--out", str(out))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert os.stat(out).st_mode & 0o777 == 0o644
+        assert os.stat(f"{out}.manifest.json").st_mode & 0o777 == 0o644
+
     def test_convention_filter(self, capsys):
         _, out, _ = run_cli(
             capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",

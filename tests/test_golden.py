@@ -4,7 +4,9 @@ The digests were produced by the row-at-a-time implementation that the
 vectorised RNG block, chunked CSV writers and loadtxt fit reader replaced
 (the gbm ``fit`` and ``sweep`` digests by the line-by-line one-column reader
 and scipy's ``spearmanr``, before the shared loadtxt sample reader and the
-numpy Spearman); any change to them is a change to the program's output bytes.
+numpy Spearman; the ``*_past_read_ahead`` digests by one
+``substream(i).uniform()`` call per agent per step, before the substream
+read-ahead); any change to them is a change to the program's output bytes.
 """
 
 import hashlib
@@ -69,6 +71,15 @@ def test_hia(tmp_path, capsys):
     assert stdout == "36ba5e4707c6d5984cbec407780726c753d8e41de16121d24c8e35aead3582fe"
 
 
+def test_hia_past_read_ahead(tmp_path, capsys):
+    # 151 draws per agent substream: past two 64-draw read-ahead blocks
+    out = tmp_path / "h.csv"
+    assert main(["hia", "--agents", "30", "--steps", "150", "--seed", "3", "--out", str(out)]) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert _sha(out) == "9d9229a34c7f816532d1f222fb2ed5731984c157aa66fc48b338f5a48bdaf71c"
+    assert stdout == "e46f72c82cdbb92a002be11d673490efd9cc698b3247e71bd9b35e8eead4a583"
+
+
 def test_figure1(capsys):
     assert main(["figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min", "0.05",
                  "--alpha-max", "2", "--points", "200"]) == 0
@@ -83,4 +94,14 @@ def test_sweep(tmp_path, capsys):
                  "--seed", "5", "--out", str(out)]) == 0
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert _sha(out) == "4d8048fafc95fb4abde8edfab1bb9dfb38b933aec15c481fd6ccbd7684423a55"
+    assert stdout == "638e4e42be58e8d6b721346a044715f36dfd189642bb986340247efc4385b910"
+
+
+def test_sweep_past_read_ahead(tmp_path, capsys):
+    out = tmp_path / "sw.csv"
+    assert main(["sweep", "--vary", "noise_std", "--min", "0.1", "--max", "0.5",
+                 "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "100",
+                 "--seed", "5", "--out", str(out)]) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert _sha(out) == "5d36ecc2eb94c00f7c668d00b5b535d1524bbbb129415e132380053cc18c44da"
     assert stdout == "638e4e42be58e8d6b721346a044715f36dfd189642bb986340247efc4385b910"

@@ -78,6 +78,19 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["umask022", "umask077", "umask002"])
+    def test_mode_follows_umask_like_plain_open(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "out.txt", "x\n")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        assert os.stat(tmp_path / "out.txt").st_mode & 0o777 == mode
+        assert os.stat(tmp_path / "plain.txt").st_mode & 0o777 == mode
+
     def test_sha256_matches_content(self, tmp_path):
         import hashlib
 
