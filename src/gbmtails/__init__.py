@@ -45,7 +45,6 @@ from .killing import (
     KillSchedule,
     KilledSample,
     kill_time_from_uniform,
-    read_batch_csv,
     sample_kill_time,
     sample_killed_batch,
     sample_killed_state,
@@ -81,7 +80,6 @@ __all__ = [
     "sample_killed_state",
     "sample_killed_batch",
     "write_batch_csv",
-    "read_batch_csv",
     "Regime",
     "ExponentSolution",
     "DoubleParetoDist",

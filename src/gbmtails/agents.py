@@ -24,7 +24,7 @@ competing tail models to the final sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,17 +216,7 @@ def run_sweep(
 
     points = []
     for pi, v in enumerate(values):
-        fields = {
-            "n_agents": base.n_agents,
-            "noise_std": base.noise_std,
-            "drift": base.drift,
-            "coupling_in": base.coupling_in,
-            "coupling_out": base.coupling_out,
-            "steps": base.steps,
-            "floor": base.floor,
-        }
-        fields[vary] = v
-        params = HiaParams(**fields)
+        params = replace(base, **{vary: v})
         alphas, m1s, prefs = [], [], []
         for rep in range(n_seeds):
             _, eff_alpha, report = run_hia(params, master_seed + 100000 * pi + rep)

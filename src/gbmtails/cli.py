@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .agents import HiaParams, run_hia, run_sweep, sweep_csv_text
 from .dpareto import (
+    CURVE_EXCLUSION_BAND,
     exponent_curves,
     exponent_curves_csv_text,
     limit_csv_text,
@@ -132,10 +133,9 @@ def _exec_figure1(p: dict) -> CommandResult:
     alpha_star = math.sqrt(2.0 * r)
     # grid points inside the excluded band around the critical volatility
     # are nudged just outside it (toward their own side; dead-on goes up)
-    band = 1e-9 * alpha_star
-    inside = np.abs(grid - alpha_star) <= band
-    grid[inside & (grid >= alpha_star)] = alpha_star * (1.0 + 2e-9)
-    grid[inside & (grid < alpha_star)] = alpha_star * (1.0 - 2e-9)
+    inside = np.abs(grid - alpha_star) <= CURVE_EXCLUSION_BAND * alpha_star
+    grid[inside & (grid >= alpha_star)] = alpha_star * (1.0 + 2 * CURVE_EXCLUSION_BAND)
+    grid[inside & (grid < alpha_star)] = alpha_star * (1.0 - 2 * CURVE_EXCLUSION_BAND)
     rows = exponent_curves(r, nu, grid)
     return _text_result(exponent_curves_csv_text(rows), p.get("out"))
 
@@ -194,8 +194,8 @@ def _exec_fit(p: dict) -> CommandResult:
     return _text_result(dumps(report.to_json_dict()), p.get("out"))
 
 
-def _exec_hia(p: dict) -> CommandResult:
-    params = HiaParams(
+def _hia_params(p: dict) -> HiaParams:
+    return HiaParams(
         n_agents=int(p["agents"]),
         noise_std=p["noise_std"],
         drift=p["drift"],
@@ -204,7 +204,10 @@ def _exec_hia(p: dict) -> CommandResult:
         steps=int(p["steps"]),
         floor=p["floor"],
     )
-    pop, effective_alpha, report = run_hia(params, int(p["seed"]))
+
+
+def _exec_hia(p: dict) -> CommandResult:
+    pop, effective_alpha, report = run_hia(_hia_params(p), int(p["seed"]))
     doc = {"effective_alpha": effective_alpha, "fit": report.to_json_dict()}
     artifacts = []
     if p.get("out"):
@@ -218,20 +221,11 @@ def _exec_hia(p: dict) -> CommandResult:
 
 
 def _exec_sweep(p: dict) -> CommandResult:
-    base = HiaParams(
-        n_agents=int(p["agents"]),
-        noise_std=p["noise_std"],
-        drift=p["drift"],
-        coupling_in=p["coupling_in"],
-        coupling_out=p["coupling_out"],
-        steps=int(p["steps"]),
-        floor=p["floor"],
-    )
     points = int(p["points"])
     if points < 2:
         raise ValueError("points must be >= 2")
     values = np.linspace(p["min"], p["max"], points)
-    result = run_sweep(base, p["vary"], values, int(p["seeds"]), int(p["seed"]))
+    result = run_sweep(_hia_params(p), p["vary"], values, int(p["seeds"]), int(p["seed"]))
     out = _require_out(p)
     text = sweep_csv_text(result)
 
@@ -358,11 +352,10 @@ def _manifest_path(out_path: str) -> str:
 def _run_command(command: str, args: argparse.Namespace) -> int:
     params = _merge_params(command, args)
     # validate output location before any heavy work
-    for key in ("out",):
-        if params.get(key):
-            parent = os.path.dirname(os.path.abspath(params[key]))
-            if not os.path.isdir(parent):
-                raise ValueError(f"output directory does not exist: {parent}")
+    if params.get("out"):
+        parent = os.path.dirname(os.path.abspath(params["out"]))
+        if not os.path.isdir(parent):
+            raise ValueError(f"output directory does not exist: {parent}")
     result = EXECUTORS[command](params)
     outputs = _write_artifacts(command, params, result)
     if result.stdout_text is not None:
@@ -487,15 +480,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the upper-tail order-statistic count")
     sp.add_argument("--out")
 
+    def add_agent_options(sp):
+        sp.add_argument("--agents", type=int)
+        sp.add_argument("--noise-std", type=float, dest="noise_std")
+        sp.add_argument("--drift", type=float)
+        sp.add_argument("--coupling-in", type=float, dest="coupling_in")
+        sp.add_argument("--coupling-out", type=float, dest="coupling_out")
+        sp.add_argument("--steps", type=int)
+        sp.add_argument("--floor", type=float)
+        sp.add_argument("--seed", type=int)
+
     sp = add("hia", "run the interacting-agents simulation")
-    sp.add_argument("--agents", type=int)
-    sp.add_argument("--noise-std", type=float, dest="noise_std")
-    sp.add_argument("--drift", type=float)
-    sp.add_argument("--coupling-in", type=float, dest="coupling_in")
-    sp.add_argument("--coupling-out", type=float, dest="coupling_out")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--floor", type=float)
-    sp.add_argument("--seed", type=int)
+    add_agent_options(sp)
     sp.add_argument("--out", help="write final sizes as a sample CSV")
 
     sp = add("sweep", "sweep one agent parameter and track the fitted exponent")
@@ -504,14 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=float)
     sp.add_argument("--points", type=int)
     sp.add_argument("--seeds", type=int)
-    sp.add_argument("--agents", type=int)
-    sp.add_argument("--noise-std", type=float, dest="noise_std")
-    sp.add_argument("--drift", type=float)
-    sp.add_argument("--coupling-in", type=float, dest="coupling_in")
-    sp.add_argument("--coupling-out", type=float, dest="coupling_out")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--floor", type=float)
-    sp.add_argument("--seed", type=int)
+    add_agent_options(sp)
     sp.add_argument("--out")
 
     sp = sub.add_parser("replay", help="re-run a manifest and verify output digests")

@@ -23,6 +23,8 @@ two conventions side by side:
 The critical volatility alpha_star = sqrt(2 r) is where the log-drift mu
 vanishes; below it the upper tail is the heavier one (quasi-stochastic
 regime), above it the lower tail is (stochastic regime).
+Scalars and curves share one numpy body (``_roots``), bit-equal to the
+scalar forms because it squares with C ``pow``, as Python's float ``**``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ CRIT_REL_OFFSET = 1e-6
 
 # Relative half-width of the band classified as Critical.
 CRITICAL_BAND = 1e-12
+# Relative half-width that exponent-curve grids keep from alpha_star.
+CURVE_EXCLUSION_BAND = 1e-9
 
 
 class Regime(str, enum.Enum):
@@ -107,6 +111,33 @@ class ExponentSolution:
         return prod, diff
 
 
+def _roots(r, alpha, nu):
+    """(m1, m2, m1_signed, m2_signed, mu) for scalar or array ``alpha``/``nu``.
+
+    ``np.float_power`` is C ``pow``; numpy's ``x ** 2`` multiplies, which
+    differs in the last bit for some gaps. Both ``np.where`` sides are computed.
+    """
+    r, alpha, nu = (np.asarray(v, dtype=float) for v in (r, alpha, nu))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_a2 = 0.5 * alpha * alpha
+        mu = r - half_a2
+        disc = np.sqrt(mu * mu + 2.0 * (alpha * alpha) * nu)
+        q = -0.5 * (mu + np.where(mu >= 0, 1.0, -1.0) * disc)
+        root_big = q / half_a2
+        root_small = -nu / q
+        upper = root_big > 0
+        m1 = np.where(upper, root_big, root_small)
+        m2 = np.where(upper, -root_small, -root_big)
+        a2 = alpha * alpha
+        lead = (r - 0.5 * a2) / a2
+        root = np.sqrt(1.0 + 8.0 * nu * a2 / np.float_power(2.0 * r - a2, 2.0))
+        critical = a2 == 2.0 * r
+        lim = np.sqrt(nu / r)
+        m1_signed = np.where(critical, lim, lead * (1.0 + root))
+        m2_signed = np.where(critical, -lim, lead * (1.0 - root))
+    return m1, m2, m1_signed, m2_signed, mu
+
+
 def solve_exponents_canonical(r: float, alpha: float, nu: float) -> ExponentSolution:
     """Positive tail rates from the characteristic quadratic, cancellation-free.
 
@@ -118,28 +149,9 @@ def solve_exponents_canonical(r: float, alpha: float, nu: float) -> ExponentSolu
     r = _check_positive("r", r)
     alpha = _check_positive("alpha", alpha)
     nu = _check_positive("nu", nu)
-    half_a2 = 0.5 * alpha * alpha
-    mu = r - half_a2
-    disc = math.sqrt(mu * mu + 2.0 * (alpha * alpha) * nu)
-    sign_mu = 1.0 if mu >= 0 else -1.0
-    q = -0.5 * (mu + sign_mu * disc)
-    root_big = q / half_a2
-    root_small = -nu / q
-    if root_big > 0:
-        m1, m2 = root_big, -root_small
-    else:
-        m1, m2 = root_small, -root_big
+    m1, m2, m1_signed, m2_signed, mu = (float(v) for v in _roots(r, alpha, nu))
     alpha_star, regime = classify_regime(r, alpha)
-    m1_signed, m2_signed = solve_exponents_signed(r, alpha, nu)
-    return ExponentSolution(
-        m1_canonical=m1,
-        m2_canonical=m2,
-        m1_signed=m1_signed,
-        m2_signed=m2_signed,
-        mu=mu,
-        alpha_star=alpha_star,
-        regime=regime,
-    )
+    return ExponentSolution(m1, m2, m1_signed, m2_signed, mu, alpha_star, regime)
 
 
 def solve_exponents_signed(r: float, alpha: float, nu: float) -> tuple[float, float]:
@@ -151,20 +163,15 @@ def solve_exponents_signed(r: float, alpha: float, nu: float) -> tuple[float, fl
     is (m2_canonical, -m1_canonical); for mu < 0 it is
     (-m1_canonical, m2_canonical). At alpha**2 == 2 r exactly, where the
     printed expression divides by zero, the limiting branch
-    (+sqrt(nu/r), -sqrt(nu/r)) is returned.
+    (+sqrt(nu/r), -sqrt(nu/r)) is returned. Shares ``exponent_curves``' body.
     """
     r = float(r)
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r!r}")
     alpha = _check_positive("alpha", alpha)
     nu = _check_positive("nu", nu)
-    a2 = alpha * alpha
-    if a2 == 2.0 * r:
-        lim = math.sqrt(nu / r)
-        return lim, -lim
-    lead = (r - 0.5 * a2) / a2
-    root = math.sqrt(1.0 + 8.0 * nu * a2 / (2.0 * r - a2) ** 2)
-    return lead * (1.0 + root), lead * (1.0 - root)
+    _, _, m1_signed, m2_signed, _ = _roots(r, alpha, nu)
+    return float(m1_signed), float(m2_signed)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +316,7 @@ def _limit_record(limit_id: str, evaluated: float, stated: float) -> LimitRecord
 
 
 def limit_table(r: float, alpha: float, nu: float) -> LimitReport:
-    """Evaluate the signed closed forms at fixed proxy extremes.
+    """Evaluate the signed closed forms at fixed proxy extremes, in one array call.
 
     Twelve records: each of (m1, m2) as nu -> 0, nu -> inf, alpha -> 0,
     alpha -> critical from either side, and alpha -> inf, compared against
@@ -323,29 +330,23 @@ def limit_table(r: float, alpha: float, nu: float) -> LimitReport:
     nu = _check_positive("nu", nu)
     alpha_star = math.sqrt(2.0 * r)
     sqrt_nur = math.sqrt(nu / r)
-
-    nu0_m1, nu0_m2 = solve_exponents_signed(r, alpha, NU_TINY)
-    nuinf_m1, nuinf_m2 = solve_exponents_signed(r, alpha, NU_HUGE)
-    a0_m1, a0_m2 = solve_exponents_signed(r, ALPHA_TINY, nu)
-    above = alpha_star * (1.0 + CRIT_REL_OFFSET)
-    below = alpha_star * (1.0 - CRIT_REL_OFFSET)
-    crit_above = solve_exponents_signed(r, above, nu)
-    crit_below = solve_exponents_signed(r, below, nu)
-    ainf_m1, ainf_m2 = solve_exponents_signed(r, ALPHA_HUGE, nu)
-
+    alphas = [alpha, alpha, ALPHA_TINY, alpha_star * (1.0 + CRIT_REL_OFFSET),
+              alpha_star * (1.0 - CRIT_REL_OFFSET), ALPHA_HUGE]
+    _, _, m1, m2, _ = _roots(r, alphas, [NU_TINY, NU_HUGE, nu, nu, nu, nu])
+    nu0, nuinf, a0, crit_above, crit_below, ainf = zip(m1.tolist(), m2.tolist())
     records = (
-        _limit_record("nu_to_zero_m1", nu0_m1, (2.0 * r - alpha * alpha) / (alpha * alpha)),
-        _limit_record("nu_to_zero_m2", nu0_m2, 0.0),
-        _limit_record("nu_to_inf_m1", nuinf_m1, math.inf),
-        _limit_record("nu_to_inf_m2", nuinf_m2, -math.inf),
-        _limit_record("alpha_to_zero_m1", a0_m1, math.inf),
-        _limit_record("alpha_to_zero_m2", a0_m2, -nu / r),
+        _limit_record("nu_to_zero_m1", nu0[0], (2.0 * r - alpha * alpha) / (alpha * alpha)),
+        _limit_record("nu_to_zero_m2", nu0[1], 0.0),
+        _limit_record("nu_to_inf_m1", nuinf[0], math.inf),
+        _limit_record("nu_to_inf_m2", nuinf[1], -math.inf),
+        _limit_record("alpha_to_zero_m1", a0[0], math.inf),
+        _limit_record("alpha_to_zero_m2", a0[1], -nu / r),
         _limit_record("alpha_to_crit_above_m1", crit_above[0], sqrt_nur),
         _limit_record("alpha_to_crit_below_m1", crit_below[0], -sqrt_nur),
         _limit_record("alpha_to_crit_above_m2", crit_above[1], -sqrt_nur),
         _limit_record("alpha_to_crit_below_m2", crit_below[1], sqrt_nur),
-        _limit_record("alpha_to_inf_m1", ainf_m1, -1.0),
-        _limit_record("alpha_to_inf_m2", ainf_m2, 0.0),
+        _limit_record("alpha_to_inf_m1", ainf[0], -1.0),
+        _limit_record("alpha_to_inf_m2", ainf[1], 0.0),
     )
     return LimitReport(r=r, alpha=alpha, nu=nu, records=records)
 
@@ -370,8 +371,9 @@ def exponent_curves(r: float, nu: float, alpha_grid) -> np.ndarray:
     """Rows (alpha, m1_signed, m2_signed, m1_canonical, m2_canonical).
 
     For plotting exponents as a function of volatility. Grid points within
-    a relative 1e-9 band of the critical volatility are rejected (the
-    signed forms blow up there).
+    the relative ``CURVE_EXCLUSION_BAND`` of the critical volatility are
+    rejected (the signed forms blow up there). Each row is bit-equal to
+    the scalar solvers at that alpha (one shared body).
     """
     r = _check_positive("r", r)
     nu = _check_positive("nu", nu)
@@ -381,16 +383,13 @@ def exponent_curves(r: float, nu: float, alpha_grid) -> np.ndarray:
     if np.any(~np.isfinite(grid)) or np.any(grid <= 0):
         raise ValueError("alpha grid values must be finite and positive")
     alpha_star = math.sqrt(2.0 * r)
-    if np.any(np.abs(grid - alpha_star) <= 1e-9 * alpha_star):
+    if np.any(np.abs(grid - alpha_star) <= CURVE_EXCLUSION_BAND * alpha_star):
         raise ValueError(
             f"alpha grid must exclude the critical volatility {alpha_star!r} "
-            "(relative band 1e-9)"
+            f"(relative band {CURVE_EXCLUSION_BAND!r})"
         )
-    out = np.empty((grid.size, 5))
-    for i, a in enumerate(grid):
-        sol = solve_exponents_canonical(r, a, nu)
-        out[i] = (a, sol.m1_signed, sol.m2_signed, sol.m1_canonical, sol.m2_canonical)
-    return out
+    m1, m2, m1_signed, m2_signed, _ = _roots(r, grid, nu)
+    return np.column_stack((grid, m1_signed, m2_signed, m1, m2))
 
 
 def exponent_curves_csv_text(rows: np.ndarray) -> str:

@@ -148,15 +148,3 @@ def write_batch_csv_fh(fh, batch: np.ndarray) -> None:
 def write_batch_csv(path, batch: np.ndarray) -> None:
     """Serialize a killed batch as CSV with header ``kill_time,state``."""
     atomic_write(path, lambda fh: write_batch_csv_fh(fh, batch))
-
-
-def read_batch_csv(path) -> np.ndarray:
-    """Read a killed-batch CSV back into an (n, 2) array."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != BATCH_CSV_HEADER:
-            raise ValueError(f"expected header {BATCH_CSV_HEADER!r}, got {header!r}")
-        rows = [line.split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ValueError("batch CSV contains no data rows")
-    return np.array(rows, dtype=float)

@@ -306,7 +306,52 @@ class TestLimitTable:
             limit_table(0.05, 0.2, -1.0)
 
 
+def reference_row(r, alpha, nu):
+    """One figure1 row as the per-point solver computed it: Python floats, ``**``."""
+    half_a2 = 0.5 * alpha * alpha
+    mu = r - half_a2
+    disc = math.sqrt(mu * mu + 2.0 * (alpha * alpha) * nu)
+    sign_mu = 1.0 if mu >= 0 else -1.0
+    q = -0.5 * (mu + sign_mu * disc)
+    root_big = q / half_a2
+    root_small = -nu / q
+    if root_big > 0:
+        m1, m2 = root_big, -root_small
+    else:
+        m1, m2 = root_small, -root_big
+    a2 = alpha * alpha
+    if a2 == 2.0 * r:
+        lim = math.sqrt(nu / r)
+        return alpha, lim, -lim, m1, m2
+    lead = (r - 0.5 * a2) / a2
+    root = math.sqrt(1.0 + 8.0 * nu * a2 / (2.0 * r - a2) ** 2)
+    return alpha, lead * (1.0 + root), lead * (1.0 - root), m1, m2
+
+
+def assert_curves_match_reference(r, nu, grid):
+    gaps = [2.0 * r - a * a for a in grid.tolist()]
+    # the grid must hold gaps where C pow and a plain multiply disagree,
+    # or a squared-by-multiplying body would pass unnoticed
+    assert sum(g ** 2 != g * g for g in gaps) > 0
+    want = np.array([reference_row(r, a, nu) for a in grid.tolist()])
+    assert exponent_curves(r, nu, grid).tobytes() == want.tobytes()
+
+
 class TestExponentCurves:
+    def test_bit_equal_to_per_point_solve_on_figure1_grid(self):
+        assert_curves_match_reference(0.05, 0.01, np.linspace(0.05, 2.0, 100_000))
+
+    @pytest.mark.parametrize("r,nu", [(0.05, 0.01), (0.5, 2.0), (1e-3, 1e-5), (3.0, 0.2)])
+    def test_bit_equal_to_per_point_solve_on_log_grid(self, r, nu):
+        alpha_star = math.sqrt(2.0 * r)
+        grid = np.geomspace(1e-3, 30.0, 20_000)
+        grid = grid[np.abs(grid - alpha_star) > 1e-8 * alpha_star]
+        assert_curves_match_reference(r, nu, grid)
+        for a in grid[::500].tolist():
+            sol = solve_exponents_canonical(r, a, nu)
+            got = (a, sol.m1_signed, sol.m2_signed, sol.m1_canonical, sol.m2_canonical)
+            assert np.array(got).tobytes() == np.array(reference_row(r, a, nu)).tobytes()
+
     def test_canonical_columns_positive(self):
         rows = exponent_curves(0.05, 0.01, np.linspace(0.05, 2.0, 100))
         assert np.all(rows[:, 3] > 0) and np.all(rows[:, 4] > 0)

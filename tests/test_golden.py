@@ -6,7 +6,9 @@ vectorised RNG block, chunked CSV writers and loadtxt fit reader replaced
 and scipy's ``spearmanr``, before the shared loadtxt sample reader and the
 numpy Spearman; the ``*_past_read_ahead`` digests by one
 ``substream(i).uniform()`` call per agent per step, before the substream
-read-ahead); any change to them is a change to the program's output bytes.
+read-ahead; the 100k-point ``figure1`` digest, the benchmark's pin, by the
+per-point exponent solver, before the shared array body); any change to
+them is a change to the program's output bytes.
 """
 
 import hashlib
@@ -85,6 +87,14 @@ def test_figure1(capsys):
                  "--alpha-max", "2", "--points", "200"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "7fb7bcae20326deb8fbbfc030a3d73a4556311176ac569e1d74e5861889e4955"
+
+
+def test_figure1_full_grid(capsys):
+    # the benchmark's grid: it holds gaps whose C-pow square differs from x * x
+    assert main(["figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min", "0.05",
+                 "--alpha-max", "2", "--points", "100000"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "9a16c9119d2529ae3c2a3f03a350e0f249e98136399a895544e7f79387f63102"
 
 
 def test_sweep(tmp_path, capsys):
