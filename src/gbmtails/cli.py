@@ -5,16 +5,19 @@ run manifest (``<out>.manifest.json``) recording the command, the fully
 merged parameters, the master seed, the package version, and a sha256
 digest per output file. ``gbmtails replay <manifest>`` re-executes the
 recorded run into a scratch directory and checks both the regenerated and
-the on-disk files against the recorded digests, so any artifact can be
-audited byte-for-byte; replay never writes the recorded files or the
-manifest.
+the on-disk files against the recorded digests, resolving relative paths
+against the directory the run was made in; replay never writes the
+recorded files or the manifest.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 invariant violation (e.g. a replay that fails to reproduce).
 
-A flat JSON config file (``--config``) may supply defaults for any option;
-explicit command-line flags win, and the manifest records the merged
-result.
+Each command's options are declared once, in ``COMMANDS``. Flags, a flat
+JSON ``--config`` file (flags win; the manifest records the merged result)
+and a replayed manifest's ``params`` are all checked against it: an unknown
+key, a missing required one, a bool, a value its option's type would change
+(``2.7`` for an integer, ``"1"`` for a number), one outside the option's
+choices, or ``null`` for an option with a default exits 2 naming the key.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class CommandResult:
 
 
 # ---------------------------------------------------------------------------
-# Command executors: params dict -> CommandResult. Pure enough to replay.
+# Command executors: params dict, checked and converted by ``_params`` ->
+# CommandResult. Pure enough to replay.
 # ---------------------------------------------------------------------------
 
 
@@ -109,27 +113,26 @@ def _exec_solve(p: dict) -> CommandResult:
     if p["convention"] in ("both", "signed"):
         doc["m1_signed"] = sol.m1_signed
         doc["m2_signed"] = sol.m2_signed
-    return _text_result(dumps(doc), p.get("out"))
+    return _text_result(dumps(doc), p["out"])
 
 
 def _exec_regime(p: dict) -> CommandResult:
     alpha_star, regime = classify_regime(p["r"], p["alpha"])
-    return _text_result(dumps({"alpha_star": alpha_star, "regime": regime}), p.get("out"))
+    return _text_result(dumps({"alpha_star": alpha_star, "regime": regime}), p["out"])
 
 
 def _exec_limits(p: dict) -> CommandResult:
     report = limit_table(p["r"], p["alpha"], p["nu"])
-    return _text_result(limit_csv_text(report), p.get("out"))
+    return _text_result(limit_csv_text(report), p["out"])
 
 
 def _exec_figure1(p: dict) -> CommandResult:
     r, nu = p["r"], p["nu"]
-    points = int(p["points"])
-    if points < 2:
+    if p["points"] < 2:
         raise ValueError("points must be >= 2")
     if not (0 < p["alpha_min"] < p["alpha_max"]):
         raise ValueError("need 0 < alpha-min < alpha-max")
-    grid = np.linspace(p["alpha_min"], p["alpha_max"], points)
+    grid = np.linspace(p["alpha_min"], p["alpha_max"], p["points"])
     alpha_star = math.sqrt(2.0 * r)
     # grid points inside the excluded band around the critical volatility
     # are nudged just outside it (toward their own side; dead-on goes up)
@@ -137,40 +140,29 @@ def _exec_figure1(p: dict) -> CommandResult:
     grid[inside & (grid >= alpha_star)] = alpha_star * (1.0 + 2 * CURVE_EXCLUSION_BAND)
     grid[inside & (grid < alpha_star)] = alpha_star * (1.0 - 2 * CURVE_EXCLUSION_BAND)
     rows = exponent_curves(r, nu, grid)
-    return _text_result(exponent_curves_csv_text(rows), p.get("out"))
+    return _text_result(exponent_curves_csv_text(rows), p["out"])
 
 
 def _exec_simulate(p: dict) -> CommandResult:
-    mode = p["mode"]
-    if mode not in ("gbm", "killed"):
-        raise ValueError(f"mode must be 'gbm' or 'killed', got {mode!r}")
     params = GbmParams(x0=p["x0"], r=p["r"], alpha=p["alpha"])
-    n = int(p["n"])
-    if n < 1:
+    if p["n"] < 1:
         raise ValueError("n must be >= 1")
-    seed = int(p["seed"])
-    workers = max(1, int(p["workers"]))
-    out = _require_out(p)
-
+    if p["workers"] < 1:
+        raise ValueError(f"workers must be >= 1, got {p['workers']}")
+    mode = p["mode"]
+    needed, unused = ("t", "nu") if mode == "gbm" else ("nu", "t")
+    if p[needed] is None:
+        raise ValueError(f"simulate --mode {mode} needs --{needed}")
+    if p[unused] is not None:
+        raise ValueError(f"simulate --mode {mode} does not take --{unused}")
     if mode == "gbm":
-        if p.get("t") is None:
-            raise ValueError("simulate --mode gbm needs --t")
-        t = float(p["t"])
-        levels = sample_terminal_levels(params, t, n, seed)
-
-        def write(fh):
-            write_sample_csv_fh(fh, levels)
-
+        levels = sample_terminal_levels(params, p["t"], p["n"], p["seed"])
+        artifact = Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, levels))
     else:
-        if p.get("nu") is None:
-            raise ValueError("simulate --mode killed needs --nu")
-        schedule = KillSchedule(nu=float(p["nu"]))
-        batch = _killed_batch_parallel(params, schedule, n, seed, workers)
-
-        def write(fh):
-            write_batch_csv_fh(fh, batch)
-
-    return CommandResult(stdout_text=None, artifacts=[Artifact(out, write)])
+        schedule = KillSchedule(nu=p["nu"])
+        batch = _killed_batch_parallel(params, schedule, p["n"], p["seed"], p["workers"])
+        artifact = Artifact(p["out"], lambda fh: write_batch_csv_fh(fh, batch))
+    return CommandResult(stdout_text=None, artifacts=[artifact])
 
 
 def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
@@ -188,109 +180,159 @@ def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
 
 def _exec_fit(p: dict) -> CommandResult:
     samples = read_sample_csv(p["input"])
-    models = tuple(p["models"].split(",")) if p.get("models") else ALL_MODELS
-    hill_k = None if p.get("hill_k") is None else int(p["hill_k"])
-    report = compare_models(samples, models=models, hill_k=hill_k)
-    return _text_result(dumps(report.to_json_dict()), p.get("out"))
+    models = tuple(p["models"].split(",")) if p["models"] else ALL_MODELS
+    report = compare_models(samples, models=models, hill_k=p["hill_k"])
+    return _text_result(dumps(report.to_json_dict()), p["out"])
 
 
 def _hia_params(p: dict) -> HiaParams:
-    return HiaParams(
-        n_agents=int(p["agents"]),
-        noise_std=p["noise_std"],
-        drift=p["drift"],
-        coupling_in=p["coupling_in"],
-        coupling_out=p["coupling_out"],
-        steps=int(p["steps"]),
-        floor=p["floor"],
-    )
+    shared = ("noise_std", "drift", "coupling_in", "coupling_out", "steps", "floor")
+    return HiaParams(n_agents=p["agents"], **{k: p[k] for k in shared})
 
 
 def _exec_hia(p: dict) -> CommandResult:
-    pop, effective_alpha, report = run_hia(_hia_params(p), int(p["seed"]))
+    pop, effective_alpha, report = run_hia(_hia_params(p), p["seed"])
     doc = {"effective_alpha": effective_alpha, "fit": report.to_json_dict()}
     artifacts = []
-    if p.get("out"):
-        samples = SampleSet(pop.sizes, source=f"hia(seed={int(p['seed'])})")
-
-        def write(fh):
-            write_sample_csv_fh(fh, samples)
-
-        artifacts.append(Artifact(p["out"], write))
+    if p["out"]:
+        samples = SampleSet(pop.sizes, source=f"hia(seed={p['seed']})")
+        artifacts.append(Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, samples)))
     return CommandResult(stdout_text=dumps(doc), artifacts=artifacts)
 
 
 def _exec_sweep(p: dict) -> CommandResult:
-    points = int(p["points"])
-    if points < 2:
+    if p["points"] < 2:
         raise ValueError("points must be >= 2")
-    values = np.linspace(p["min"], p["max"], points)
-    result = run_sweep(_hia_params(p), p["vary"], values, int(p["seeds"]), int(p["seed"]))
-    out = _require_out(p)
+    values = np.linspace(p["min"], p["max"], p["points"])
+    result = run_sweep(_hia_params(p), p["vary"], values, p["seeds"], p["seed"])
     text = sweep_csv_text(result)
-
-    def write(fh):
-        fh.write(text)
-
     doc = {"varied": result.varied, "spearman_rho": result.spearman_rho}
-    return CommandResult(stdout_text=dumps(doc), artifacts=[Artifact(out, write)])
+    artifact = Artifact(p["out"], lambda fh: fh.write(text))
+    return CommandResult(stdout_text=dumps(doc), artifacts=[artifact])
 
 
 def _text_result(text: str, out) -> CommandResult:
-    artifacts = []
-    if out:
-
-        def write(fh, _text=text):
-            fh.write(_text)
-
-        artifacts.append(Artifact(str(out), write))
+    artifacts = [Artifact(out, lambda fh: fh.write(text))] if out else []
     return CommandResult(stdout_text=text, artifacts=artifacts)
 
 
-def _require_out(p: dict) -> str:
-    out = p.get("out")
-    if not out:
-        raise ValueError("this command requires --out")
-    return str(out)
+# ---------------------------------------------------------------------------
+# The option table: every command's options, declared once
+# ---------------------------------------------------------------------------
 
 
-EXECUTORS = {
-    "solve": _exec_solve,
-    "regime": _exec_regime,
-    "limits": _exec_limits,
-    "figure1": _exec_figure1,
-    "simulate": _exec_simulate,
-    "fit": _exec_fit,
-    "hia": _exec_hia,
-    "sweep": _exec_sweep,
+@dataclass(frozen=True)
+class Option:
+    type: type  # float, int or str
+    default: object = _REQUIRED
+    help: str | None = None
+    choices: tuple | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    run: Callable  # checked params dict -> CommandResult
+    help: str
+    options: dict  # name -> Option; the flag is --name with "_" as "-"
+
+
+_R = Option(float, help="drift rate r")
+_ALPHA = Option(float, help="volatility alpha")
+_NU = Option(float, help="observation (killing) rate nu")
+_OUT = Option(str, None, "also write the output to this path (with manifest)")
+_SEED = Option(int, 0, "master seed, in [0, 2**64)")
+_AGENT_OPTIONS = {
+    "agents": Option(int, 1000, "number of agents"),
+    "noise_std": Option(float, 0.3, "std of each agent's log-growth shock"),
+    "drift": Option(float, 0.0, "mean log-growth per step"),
+    "coupling_in": Option(float, 0.1, "each agent gains coupling_in * mean size"),
+    "coupling_out": Option(float, 0.1, "each agent loses coupling_out * mean * own size"),
+    "steps": Option(int, 400, "number of steps"),
+    "floor": Option(float, 1e-6, "sizes are clamped at this floor"),
+    "seed": _SEED,
 }
 
-_HIA_DEFAULTS = {
-    "agents": 1000,
-    "noise_std": 0.3,
-    "drift": 0.0,
-    "coupling_in": 0.1,
-    "coupling_out": 0.1,
-    "steps": 400,
-    "floor": 1e-6,
-    "seed": 0,
+COMMANDS = {
+    "solve": Command(_exec_solve, "tail exponents for (r, alpha, nu)", {
+        "r": _R, "alpha": _ALPHA, "nu": _NU,
+        "convention": Option(str, "both", "exponents to report", ("both", "canonical", "signed")),
+        "out": _OUT,
+    }),
+    "regime": Command(_exec_regime, "critical volatility and regime label",
+                      {"r": _R, "alpha": _ALPHA, "out": _OUT}),
+    "limits": Command(_exec_limits, "extreme-parameter checks of the closed-form exponents (CSV)",
+                      {"r": _R, "alpha": _ALPHA, "nu": _NU, "out": _OUT}),
+    "figure1": Command(_exec_figure1, "exponents as a function of volatility (CSV for plotting)", {
+        "r": _R, "nu": _NU, "out": _OUT,
+        "alpha_min": Option(float, help="smallest volatility on the grid"),
+        "alpha_max": Option(float, help="largest volatility on the grid"),
+        "points": Option(int, 100, "grid points, >= 2"),
+    }),
+    "simulate": Command(_exec_simulate, "sample GBM terminal values or killed states to CSV", {
+        "mode": Option(str, help="gbm: value at --t; killed: state at an Exp(--nu) time",
+                       choices=("gbm", "killed")),
+        "x0": Option(float, 1.0, "initial level"),
+        "r": _R, "alpha": _ALPHA,
+        "t": Option(float, None, "horizon (gbm mode only)"),
+        "nu": Option(float, None, "observation rate (killed mode only)"),
+        "n": Option(int, help="number of samples"),
+        "seed": _SEED,
+        "workers": Option(int, 1, "shard the batch; results are independent of this"),
+        "out": Option(str, help="sample CSV path (with manifest)"),
+    }),
+    "fit": Command(_exec_fit, "fit and compare heavy-tail models on a sample CSV", {
+        "input": Option(str, help="sample CSV (value or kill_time,state)"),
+        "models": Option(str, None, "comma-separated subset of " + ",".join(ALL_MODELS)),
+        "hill_k": Option(int, None, "override the upper-tail order-statistic count"),
+        "out": _OUT,
+    }),
+    "hia": Command(_exec_hia, "run the interacting-agents simulation", {
+        **_AGENT_OPTIONS, "out": Option(str, None, "write final sizes as a sample CSV"),
+    }),
+    "sweep": Command(_exec_sweep, "sweep one agent parameter and track the fitted exponent", {
+        **_AGENT_OPTIONS,
+        "vary": Option(str, "noise_std", "the agent option swept",
+                       ("noise_std", "coupling_in", "coupling_out")),
+        "min": Option(float, 0.05, "first swept value"),
+        "max": Option(float, 0.8, "last swept value"),
+        "points": Option(int, 8, "swept values, >= 2"),
+        "seeds": Option(int, 5, "replicate runs per swept value"),
+        "out": Option(str, help="sweep CSV path (with manifest)"),
+    }),
 }
 
-DEFAULTS = {
-    "solve": {"r": _REQUIRED, "alpha": _REQUIRED, "nu": _REQUIRED,
-              "convention": "both", "out": None},
-    "regime": {"r": _REQUIRED, "alpha": _REQUIRED, "out": None},
-    "limits": {"r": _REQUIRED, "alpha": _REQUIRED, "nu": _REQUIRED, "out": None},
-    "figure1": {"r": _REQUIRED, "nu": _REQUIRED, "alpha_min": _REQUIRED,
-                "alpha_max": _REQUIRED, "points": 100, "out": None},
-    "simulate": {"mode": _REQUIRED, "x0": 1.0, "r": _REQUIRED, "alpha": _REQUIRED,
-                 "t": None, "nu": None, "n": _REQUIRED, "seed": 0, "workers": 1,
-                 "out": _REQUIRED},
-    "fit": {"input": _REQUIRED, "models": None, "hill_k": None, "out": None},
-    "hia": {**_HIA_DEFAULTS, "out": None},
-    "sweep": {**_HIA_DEFAULTS, "vary": "noise_std", "min": 0.05, "max": 0.8,
-              "points": 8, "seeds": 5, "out": _REQUIRED},
-}
+
+def _flag(name: str) -> str:
+    return name if name == "input" else "--" + name.replace("_", "-")
+
+
+def _params(command: str, given, source: str) -> dict:
+    """``given`` over the command's defaults, every key and value checked and converted."""
+    options = COMMANDS[command].options
+    if not isinstance(given, dict):
+        raise ValueError(f"{source} must hold a flat JSON object")
+    unknown = sorted(set(given) - set(options))
+    if unknown:
+        raise ValueError(f"{source} has unknown key(s) for {command}: {', '.join(unknown)}")
+    missing = [_flag(k) for k, opt in options.items() if opt.default is _REQUIRED and k not in given]
+    if missing:
+        raise ValueError(f"missing required option(s): {', '.join(missing)}")
+    params = {k: opt.default for k, opt in options.items()}
+    for key, value in given.items():
+        opt = options[key]
+        if value is None and opt.default is None:
+            continue
+        try:
+            ok = not isinstance(value, bool) and (
+                isinstance(value, opt.type) or opt.type(value) == value
+            )
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok or (opt.choices and value not in opt.choices):
+            kind = "one of " + ", ".join(opt.choices) if opt.choices else "of type " + opt.type.__name__
+            raise ValueError(f"{source}: {key} must be {kind}, got {value!r}")
+        params[key] = opt.type(value)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -298,45 +340,26 @@ DEFAULTS = {
 # ---------------------------------------------------------------------------
 
 
-def _merge_params(command: str, args: argparse.Namespace) -> dict:
-    merged = dict(DEFAULTS[command])
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _read_json_object(path: str, what: str) -> dict:
+    with open(path, "r") as fh:
         try:
-            with open(config_path, "r") as fh:
-                config = json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(config, dict):
-            raise ValueError("config file must hold a flat JSON object")
-        unknown = sorted(set(config) - set(merged))
-        if unknown:
-            raise ValueError(
-                f"config file has unknown key(s) for {command}: {', '.join(unknown)}"
-            )
-        merged.update(config)
-    for key in DEFAULTS[command]:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-    missing = [k for k, v in merged.items() if v is _REQUIRED]
-    if missing:
-        flags = ", ".join(
-            k if k == "input" else "--" + k.replace("_", "-") for k in missing
-        )
-        raise ValueError(f"missing required option(s): {flags}")
-    return merged
+            raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object")
+    return doc
 
 
 def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
     outputs = []
     for art in result.artifacts:
         atomic_write(art.path, art.write)
-        outputs.append({"path": str(art.path), "sha256": sha256_file(art.path)})
+        outputs.append({"path": art.path, "sha256": sha256_file(art.path)})
     if outputs:
         manifest = {
             "command": command,
-            "params": {k: v for k, v in params.items()},
+            "params": params,
             "seed": params.get("seed"),
             "version": __version__,
             "outputs": outputs,
@@ -350,13 +373,19 @@ def _manifest_path(out_path: str) -> str:
 
 
 def _run_command(command: str, args: argparse.Namespace) -> int:
-    params = _merge_params(command, args)
+    spec = COMMANDS[command]
+    config = _read_json_object(args.config, "config file") if args.config else {}
+    flags = {k: getattr(args, k) for k in spec.options if getattr(args, k) is not None}
+    # argparse has checked the flags, so a rejected key or value is the config file's
+    params = _params(command, {**config, **flags}, "config file")
     # validate output location before any heavy work
-    if params.get("out"):
+    if params["out"] == "":
+        raise ValueError("--out must not be empty")
+    if params["out"]:
         parent = os.path.dirname(os.path.abspath(params["out"]))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
-    result = EXECUTORS[command](params)
+    result = spec.run(params)
     outputs = _write_artifacts(command, params, result)
     if result.stdout_text is not None:
         sys.stdout.write(result.stdout_text)
@@ -366,34 +395,54 @@ def _run_command(command: str, args: argparse.Namespace) -> int:
 
 
 def _run_replay(args: argparse.Namespace) -> int:
-    with open(args.manifest, "r") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json_object(args.manifest, "manifest")
     for key in ("command", "params", "outputs"):
         if key not in manifest:
             raise ValueError(f"manifest is missing the {key!r} field")
-    command = manifest["command"]
-    if command not in EXECUTORS:
+    command, outputs = manifest["command"], manifest["outputs"]
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    result = EXECUTORS[command](manifest["params"])
-    # Regenerate into a scratch directory: replay only checks, it never
-    # writes the recorded paths or the manifest.
-    produced = {}
-    with tempfile.TemporaryDirectory() as scratch:
-        for i, art in enumerate(result.artifacts):
-            regenerated = os.path.join(scratch, str(i))
-            atomic_write(regenerated, art.write)
-            produced[str(art.path)] = sha256_file(regenerated)
-    recorded = {o["path"]: o["sha256"] for o in manifest["outputs"]}
-    not_reproduced = sorted(
-        path
-        for path in set(recorded) | set(produced)
-        if recorded.get(path) != produced.get(path)
-    )
-    not_on_disk = sorted(
-        path
-        for path, digest in recorded.items()
-        if not os.path.isfile(path) or sha256_file(path) != digest
-    )
+    if not (isinstance(outputs, list) and outputs and all(
+        isinstance(o, dict) and all(isinstance(o.get(k), str) for k in ("path", "sha256"))
+        for o in outputs
+    )):
+        raise ValueError("manifest outputs must be a non-empty list of {path, sha256} strings")
+    params = _params(command, manifest["params"], "manifest params")
+    # Relative recorded paths (outputs, fit's input) resolve against the run's
+    # directory, and stay the recorded strings so the digests still match. The
+    # manifest was written to <run dir>/<first output>.manifest.json; its own
+    # directory differs when --out had a directory part.
+    tail = os.path.normpath(_manifest_path(outputs[0]["path"]))
+    here = os.path.abspath(args.manifest)
+    run_dir = here[: len(here) - len(tail)]  # "" when the output path is absolute
+    if not (here.endswith(tail) and (run_dir == "" or run_dir.endswith(os.sep))):
+        raise ValueError(f"manifest path {args.manifest!r} does not end with its recorded "
+                         f"name {tail!r}, so the run's directory is unknown")
+    home = os.getcwd()
+    os.chdir(run_dir or home)
+    try:
+        result = COMMANDS[command].run(params)
+        # Regenerate into a scratch directory: replay only checks, it never
+        # writes the recorded paths or the manifest.
+        produced = {}
+        with tempfile.TemporaryDirectory() as scratch:
+            for i, art in enumerate(result.artifacts):
+                regenerated = os.path.join(scratch, str(i))
+                atomic_write(regenerated, art.write)
+                produced[art.path] = sha256_file(regenerated)
+        recorded = {o["path"]: o["sha256"] for o in outputs}
+        not_reproduced = sorted(
+            path
+            for path in set(recorded) | set(produced)
+            if recorded.get(path) != produced.get(path)
+        )
+        not_on_disk = sorted(
+            path
+            for path, digest in recorded.items()
+            if not os.path.isfile(path) or sha256_file(path) != digest
+        )
+    finally:
+        os.chdir(home)
     doc = {
         "command": command,
         "reproduced": not not_reproduced,
@@ -426,86 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", default=None,
-                        help="flat JSON file supplying option defaults")
-        return sp
-
-    sp = add("solve", "tail exponents for (r, alpha, nu)")
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--nu", type=float)
-    sp.add_argument("--convention", choices=["both", "canonical", "signed"])
-    sp.add_argument("--out", help="also write the JSON to this path (with manifest)")
-
-    sp = add("regime", "critical volatility and regime label")
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--out")
-
-    sp = add("limits", "extreme-parameter checks of the closed-form exponents (CSV)")
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--nu", type=float)
-    sp.add_argument("--out")
-
-    sp = add("figure1", "exponents as a function of volatility (CSV for plotting)")
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--nu", type=float)
-    sp.add_argument("--alpha-min", type=float, dest="alpha_min")
-    sp.add_argument("--alpha-max", type=float, dest="alpha_max")
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--out")
-
-    sp = add("simulate", "sample GBM terminal values or killed states to CSV")
-    sp.add_argument("--mode", choices=["gbm", "killed"])
-    sp.add_argument("--x0", type=float)
-    sp.add_argument("--r", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--t", type=float, help="horizon (gbm mode)")
-    sp.add_argument("--nu", type=float, help="observation rate (killed mode)")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int,
-                    help="shard the batch; results are independent of this")
-    sp.add_argument("--out")
-
-    sp = add("fit", "fit and compare heavy-tail models on a sample CSV")
-    sp.add_argument("input", nargs="?", default=None)
-    sp.add_argument("--models", help="comma-separated subset of "
-                    + ",".join(ALL_MODELS))
-    sp.add_argument("--hill-k", type=int, dest="hill_k",
-                    help="override the upper-tail order-statistic count")
-    sp.add_argument("--out")
-
-    def add_agent_options(sp):
-        sp.add_argument("--agents", type=int)
-        sp.add_argument("--noise-std", type=float, dest="noise_std")
-        sp.add_argument("--drift", type=float)
-        sp.add_argument("--coupling-in", type=float, dest="coupling_in")
-        sp.add_argument("--coupling-out", type=float, dest="coupling_out")
-        sp.add_argument("--steps", type=int)
-        sp.add_argument("--floor", type=float)
-        sp.add_argument("--seed", type=int)
-
-    sp = add("hia", "run the interacting-agents simulation")
-    add_agent_options(sp)
-    sp.add_argument("--out", help="write final sizes as a sample CSV")
-
-    sp = add("sweep", "sweep one agent parameter and track the fitted exponent")
-    sp.add_argument("--vary", choices=["noise_std", "coupling_in", "coupling_out"])
-    sp.add_argument("--min", type=float)
-    sp.add_argument("--max", type=float)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--seeds", type=int)
-    add_agent_options(sp)
-    sp.add_argument("--out")
-
+    for command, spec in COMMANDS.items():
+        sp = sub.add_parser(command, help=spec.help)
+        sp.add_argument("--config", help="flat JSON file supplying option defaults")
+        for name, opt in spec.options.items():
+            flag = _flag(name)
+            where = {"nargs": "?"} if flag == name else {"dest": name}
+            sp.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help, **where)
     sp = sub.add_parser("replay", help="re-run a manifest and verify output digests")
     sp.add_argument("manifest")
-
     return parser
 
 

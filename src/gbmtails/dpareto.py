@@ -118,7 +118,7 @@ def _roots(r, alpha, nu):
     differs in the last bit for some gaps. Both ``np.where`` sides are computed.
     """
     r, alpha, nu = (np.asarray(v, dtype=float) for v in (r, alpha, nu))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         half_a2 = 0.5 * alpha * alpha
         mu = r - half_a2
         disc = np.sqrt(mu * mu + 2.0 * (alpha * alpha) * nu)
@@ -138,18 +138,31 @@ def _roots(r, alpha, nu):
     return m1, m2, m1_signed, m2_signed, mu
 
 
+def _representable_roots(r, alpha, nu):
+    """``_roots``, rejecting an alpha whose canonical exponents overflow or vanish."""
+    roots = _roots(r, alpha, nu)
+    ok = np.ravel(np.isfinite(roots[0]) & np.isfinite(roots[1]) & (roots[0] > 0) & (roots[1] > 0))
+    if not ok.all():
+        bad = float(np.ravel(alpha)[np.argmin(ok)])
+        raise ValueError(f"tail exponents at r={r!r}, alpha={bad!r}, nu={nu!r} "
+                         "are not finite and positive in floating point")
+    return roots
+
+
 def solve_exponents_canonical(r: float, alpha: float, nu: float) -> ExponentSolution:
     """Positive tail rates from the characteristic quadratic, cancellation-free.
 
     The larger-magnitude root comes from the sign-safe quadratic formula,
     the other from the Vieta product, so no accuracy is lost when
     nu << mu**2 / alpha**2. alpha = 0 is rejected: the quadratic
-    degenerates (see ``limit_table`` for the alpha -> 0 behavior).
+    degenerates (see ``limit_table`` for the alpha -> 0 behavior). So are
+    inputs whose exponents overflow or vanish (also in ``solve_exponents_signed``
+    and ``exponent_curves``).
     """
     r = _check_positive("r", r)
     alpha = _check_positive("alpha", alpha)
     nu = _check_positive("nu", nu)
-    m1, m2, m1_signed, m2_signed, mu = (float(v) for v in _roots(r, alpha, nu))
+    m1, m2, m1_signed, m2_signed, mu = (float(v) for v in _representable_roots(r, alpha, nu))
     alpha_star, regime = classify_regime(r, alpha)
     return ExponentSolution(m1, m2, m1_signed, m2_signed, mu, alpha_star, regime)
 
@@ -170,7 +183,7 @@ def solve_exponents_signed(r: float, alpha: float, nu: float) -> tuple[float, fl
         raise ValueError(f"r must be finite, got {r!r}")
     alpha = _check_positive("alpha", alpha)
     nu = _check_positive("nu", nu)
-    _, _, m1_signed, m2_signed, _ = _roots(r, alpha, nu)
+    _, _, m1_signed, m2_signed, _ = _representable_roots(r, alpha, nu)
     return float(m1_signed), float(m2_signed)
 
 
@@ -388,7 +401,7 @@ def exponent_curves(r: float, nu: float, alpha_grid) -> np.ndarray:
             f"alpha grid must exclude the critical volatility {alpha_star!r} "
             f"(relative band {CURVE_EXCLUSION_BAND!r})"
         )
-    m1, m2, m1_signed, m2_signed, _ = _roots(r, grid, nu)
+    m1, m2, m1_signed, m2_signed, _ = _representable_roots(r, grid, nu)
     return np.column_stack((grid, m1_signed, m2_signed, m1, m2))
 
 

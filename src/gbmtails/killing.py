@@ -121,7 +121,9 @@ def sample_killed_batch(
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    workers = max(1, int(workers))
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     parts = [
         killed_rows_range(params, schedule, master_seed, lo, hi)
         for lo, hi in _chunk_ranges(n, workers)

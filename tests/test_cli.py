@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbmtails.cli import main
+from gbmtails.cli import COMMANDS, main
 from gbmtails.fitting import SampleCsvError, read_sample_csv
 from gbmtails.serialization import sha256_file
 
@@ -38,6 +38,13 @@ class TestSolve:
         assert doc["regime"] == "Critical"
         assert doc["m1_canonical"] == pytest.approx(0.2, rel=1e-10)
         assert doc["m2_canonical"] == pytest.approx(0.2, rel=1e-10)
+
+    @pytest.mark.parametrize("r,alpha", [("0.05", "1e100"), ("1e300", "0.2")])
+    def test_unrepresentable_exponents_exit_2(self, capsys, r, alpha):
+        code, out, err = run_cli(capsys, "solve", "--r", r, "--alpha", alpha, "--nu", "0.01")
+        assert code == 2
+        assert out == ""
+        assert "not finite and positive" in err
 
     def test_degenerate_volatility_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -165,6 +172,27 @@ class TestSimulate:
             "--alpha", "0.2", "--n", "10", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2 and "--nu" in err
+
+    @pytest.mark.parametrize("extra,named", [
+        (("--mode", "killed", "--nu", "0.01", "--workers", "0"), "workers"),
+        (("--mode", "killed", "--nu", "0.01", "--workers", "-5"), "workers"),
+        (("--mode", "gbm", "--t", "1", "--workers", "0"), "workers"),
+        (("--mode", "killed", "--nu", "0.01", "--t", "1"), "--t"),
+        (("--mode", "gbm", "--t", "1", "--nu", "0.01"), "--nu"),
+    ])
+    def test_rejects_options_it_cannot_honour(self, capsys, tmp_path, extra, named):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "simulate", "--r", "0.05", "--alpha", "0.2",
+                               "--n", "10", *extra, "--out", str(out_path))
+        assert code == 2
+        assert named in err
+        assert not out_path.exists()
+
+    def test_empty_output_path_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--mode", "gbm", "--r", "0.05",
+                               "--alpha", "0.2", "--t", "1", "--n", "10", "--out", "")
+        assert code == 2
+        assert "--out" in err
 
 
 class TestFit:
@@ -394,6 +422,114 @@ class TestConfigAndReplay:
         assert out == ""
         assert "alpah" in err
 
+    @pytest.mark.parametrize("command,config,named", [
+        ("solve", {"convention": "bogus", "r": 0.05, "alpha": 0.2, "nu": 0.01}, "convention"),
+        ("solve", {"r": True, "alpha": 0.2, "nu": 0.01}, "r must be"),
+        ("solve", {"r": None, "alpha": 0.2, "nu": 0.01}, "r must be"),
+        ("solve", {"out": 5, "r": 0.05, "alpha": 0.2, "nu": 0.01}, "out must be"),
+        ("hia", {"steps": 2.7, "agents": 20}, "steps must be"),
+    ])
+    def test_config_values_are_checked_against_the_option(self, capsys, tmp_path,
+                                                           command, config, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "config file" in err and named in err
+
+    def test_config_values_equal_to_flags_give_the_same_bytes(self, capsys, tmp_path,
+                                                                monkeypatch):
+        common = ("simulate", "--mode", "killed", "--alpha", "0.5", "--nu", "2",
+                  "--seed", "3", "--out", "k.csv")
+        (tmp_path / "flags").mkdir()
+        (tmp_path / "config").mkdir()
+        monkeypatch.chdir(tmp_path / "flags")
+        code, flag_out, _ = run_cli(capsys, *common, "--r", "1", "--n", "1000")
+        assert code == 0
+        monkeypatch.chdir(tmp_path / "config")
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"r": 1, "n": 1000.0}))
+        code, config_out, _ = run_cli(capsys, *common, "--config", str(config_path))
+        assert code == 0
+        assert config_out == flag_out
+        for name in ("k.csv", "k.csv.manifest.json"):
+            assert (tmp_path / "config" / name).read_bytes() == (
+                tmp_path / "flags" / name).read_bytes()
+
+    @pytest.mark.parametrize("params,named", [
+        ({"alpha": 0.2, "nu": 0.01, "convention": "both", "out": "s.json"}, "--r"),
+        ("r=0.05", "params"),
+    ])
+    def test_replay_checks_manifest_params(self, capsys, tmp_path, params, named):
+        out_path = tmp_path / "s.json"
+        run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                "--out", str(out_path))
+        manifest_path = tmp_path / "s.json.manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        doc["params"] = params
+        manifest_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 2 and out == "" and named in err
+
+    @pytest.mark.parametrize("outputs", [
+        "s.json", [], [{"path": "s.json"}], [{"path": 5, "sha256": "0" * 64}], ["s.json"],
+    ])
+    def test_replay_rejects_malformed_outputs(self, capsys, tmp_path, outputs):
+        out_path = tmp_path / "s.json"
+        run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                "--out", str(out_path))
+        manifest_path = tmp_path / "s.json.manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        doc["outputs"] = outputs
+        manifest_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 2 and out == "" and "outputs" in err
+
+    def test_replay_rejects_a_manifest_not_named_after_its_output(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                "--out", "s.json")
+        os.rename("s.json.manifest.json", "renamed.manifest.json")
+        code, out, err = run_cli(capsys, "replay", "renamed.manifest.json")
+        assert code == 2 and out == "" and "renamed.manifest.json" in err
+
+    def test_replay_from_the_output_directory(self, capsys, tmp_path, monkeypatch):
+        """--out had a directory part: the run's directory is above the manifest's."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m").mkdir()
+        run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                "--out", "m/s.json")
+        run_cli(capsys, "simulate", "--mode", "gbm", "--r", "0.05", "--alpha", "0.5",
+                "--t", "10", "--n", "200", "--seed", "4", "--out", "m/g.csv")
+        assert run_cli(capsys, "fit", "m/g.csv", "--out", "m/f.json")[0] == 0
+        monkeypatch.chdir(tmp_path / "m")
+        for manifest, recorded in (("s.json.manifest.json", "m/s.json"),
+                                   ("f.json.manifest.json", "m/f.json")):
+            code, out, _ = run_cli(capsys, "replay", manifest)
+            assert code == 0
+            assert [o["path"] for o in json.loads(out)["outputs"]] == [recorded]
+
+    def test_replay_from_the_parent_directory(self, capsys, tmp_path, monkeypatch):
+        run_dir = tmp_path / "m"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                "--out", "s.json")
+        run_cli(capsys, "simulate", "--mode", "gbm", "--r", "0.05", "--alpha", "0.5",
+                "--t", "10", "--n", "200", "--seed", "4", "--out", "g.csv")
+        assert run_cli(capsys, "fit", "g.csv", "--out", "f.json")[0] == 0
+        fit_bytes = (run_dir / "f.json").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        for manifest, recorded in (("m/s.json.manifest.json", "s.json"),
+                                   ("m/f.json.manifest.json", "f.json")):
+            code, out, _ = run_cli(capsys, "replay", manifest)
+            assert code == 0
+            assert [o["path"] for o in json.loads(out)["outputs"]] == [recorded]
+        assert (run_dir / "f.json").read_bytes() == fit_bytes
+        assert os.getcwd() == str(tmp_path)
+
     def test_replay_reproduces_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"
         run_cli(capsys, "figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min",
@@ -452,6 +588,15 @@ class TestConfigAndReplay:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", [*COMMANDS, "replay"])
+    def test_help_renders(self, command):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gbmtails", command, "--help"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: gbmtails " + command)
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gbmtails", "solve", "--r", "0.05",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,23 @@ class TestCanonicalSolver:
         nus = np.linspace(1e-4, 2.0, 400)
         m1s = [solve_exponents_canonical(0.05, 0.3, nu).m1_canonical for nu in nus]
         assert np.all(np.diff(m1s) > 0)
+
+
+class TestUnrepresentableExponents:
+    """Inputs whose canonical exponents overflow or vanish are rejected, not returned."""
+
+    @pytest.mark.parametrize("r,alpha,nu", [(0.05, 1e100, 0.01), (1e300, 0.2, 0.01)])
+    def test_canonical_solver_rejects(self, r, alpha, nu):
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}")):
+            solve_exponents_canonical(r, alpha, nu)
+
+    def test_signed_solver_rejects(self):
+        with pytest.raises(ValueError, match="alpha=1e[+]100"):
+            solve_exponents_signed(0.05, 1e100, 0.01)
+
+    def test_curves_reject_grid_naming_the_point(self):
+        with pytest.raises(ValueError, match="alpha=1e[+]100"):
+            exponent_curves(0.05, 0.01, [0.1, 0.5, 1e100])
 
 
 class TestSignedSolver:

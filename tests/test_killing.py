@@ -92,6 +92,11 @@ class TestKilledState:
         with pytest.raises(ValueError):
             sample_killed_batch(QUASI, SCHEDULE, 0, master_seed=1)
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_batch_rejects_worker_count_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sample_killed_batch(QUASI, SCHEDULE, 10, master_seed=1, workers=workers)
+
     def test_small_volatility_limit_is_pure_pareto(self):
         # as alpha -> 0 the state is x0 * exp(r T): upper tail exponent nu/r
         params = GbmParams(x0=1.0, r=0.05, alpha=1e-6)
