@@ -29,7 +29,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,13 +52,7 @@ from .fitting import (
     read_sample_csv,
     write_sample_csv_fh,
 )
-from .killing import (
-    KillSchedule,
-    _chunk_ranges,
-    killed_rows_range,
-    sample_killed_batch,
-    write_batch_csv_fh,
-)
+from .killing import KillSchedule, killed_rows_range, sample_killed_batch, write_batch_csv_fh
 from .sde import GbmParams, sample_terminal_levels
 from .serialization import atomic_write, atomic_write_text, dumps, sha256_file
 
@@ -99,20 +93,13 @@ def _exec_solve(p: dict) -> CommandResult:
             "use the limits command for the alpha -> 0 behavior"
         )
     sol = solve_exponents_canonical(p["r"], p["alpha"], p["nu"])
-    prod_res, diff_res = sol.vieta_residuals(p["r"], p["alpha"], p["nu"])
-    doc = {
-        "alpha_star": sol.alpha_star,
-        "regime": sol.regime,
-        "mu": sol.mu,
-        "vieta_product_residual": prod_res,
-        "vieta_difference_residual": diff_res,
-    }
-    if p["convention"] in ("both", "canonical"):
-        doc["m1_canonical"] = sol.m1_canonical
-        doc["m2_canonical"] = sol.m2_canonical
-    if p["convention"] in ("both", "signed"):
-        doc["m1_signed"] = sol.m1_signed
-        doc["m2_signed"] = sol.m2_signed
+    doc = asdict(sol)
+    doc["vieta_product_residual"], doc["vieta_difference_residual"] = sol.vieta_residuals(
+        p["r"], p["alpha"], p["nu"]
+    )
+    excluded = {"both": (), "canonical": ("signed",), "signed": ("canonical",)}[p["convention"]]
+    for convention in excluded:
+        del doc["m1_" + convention], doc["m2_" + convention]
     return _text_result(dumps(doc), p["out"])
 
 
@@ -156,8 +143,8 @@ def _exec_simulate(p: dict) -> CommandResult:
     if p[unused] is not None:
         raise ValueError(f"simulate --mode {mode} does not take --{unused}")
     if mode == "gbm":
-        levels = sample_terminal_levels(params, p["t"], p["n"], p["seed"])
-        artifact = Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, levels))
+        samples = SampleSet(sample_terminal_levels(params, p["t"], p["n"], p["seed"]))
+        artifact = Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, samples))
     else:
         schedule = KillSchedule(nu=p["nu"])
         batch = _killed_batch_parallel(params, schedule, p["n"], p["seed"], p["workers"])
@@ -169,10 +156,11 @@ def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
     """Worker-sharded batch; byte-identical to the sequential path."""
     if workers <= 1 or n < 4 * workers:
         return sample_killed_batch(params, schedule, n, seed, workers=workers)
+    size = -(-n // workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(killed_rows_range, params, schedule, seed, lo, hi)
-            for lo, hi in _chunk_ranges(n, workers)
+            pool.submit(killed_rows_range, params, schedule, seed, lo, min(lo + size, n))
+            for lo in range(0, n, size)
         ]
         parts = [f.result() for f in futures]
     return np.concatenate(parts, axis=0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -128,16 +128,10 @@ def read_sample_csv(path, source: str | None = None) -> SampleSet:
     return SampleSet(np.array(rows), source=source)
 
 
-def write_sample_csv_fh(fh, samples) -> None:
-    """Write a SampleSet, or a 1-d array of values as given, in the one-column schema.
-
-    Arrays are not validated: a simulated level that underflows to 0 or
-    overflows to inf is written as such.
-    """
-    if isinstance(samples, SampleSet):
-        samples = samples.values
+def write_sample_csv_fh(fh, samples: SampleSet) -> None:
+    """Write a SampleSet in the one-column ``value`` schema, one '%.17g' row per value."""
     fh.write(SAMPLE_CSV_HEADER + "\n")
-    write_float_rows(fh, np.asarray(samples, dtype=float), "%.17g\n")
+    write_float_rows(fh, samples.values, "%.17g\n")
 
 
 def write_sample_csv(path, samples: SampleSet) -> None:
@@ -362,22 +356,10 @@ class FitReport:
         raise KeyError(model)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "source": self.source,
-            "models": [
-                {
-                    "model": f.model,
-                    "parameters": f.parameters,
-                    "log_likelihood": f.log_likelihood,
-                    "aic": f.aic,
-                    "ks_statistic": f.ks_statistic,
-                }
-                for f in self.fits
-            ],
-            "errors": self.errors,
-            "preferred": self.preferred,
-        }
+        """Every field, with ``fits`` under the key ``models``."""
+        doc = asdict(self)
+        doc["models"] = doc.pop("fits")
+        return doc
 
 
 def _ks_statistic(sorted_x: np.ndarray, model_cdf: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
-from .sde import GbmParams
+from .sde import GbmParams, levels_from_logs, terminal_log_from_normals
 from .serialization import atomic_write, write_float_rows
 
 
@@ -70,16 +70,14 @@ def _killed_rows(params: GbmParams, schedule: KillSchedule, u: np.ndarray) -> np
 
     One shared kernel keeps the scalar sampler and the batch sampler
     byte-identical: the first uniform becomes the horizon, the second the
-    normal shock of the exact log-space terminal draw.
+    normal shock of the exact terminal draw at that horizon. A state that
+    is inf, 0 or NaN in float64 raises ValueError.
     """
     t = kill_time_from_uniform(u[:, 0], schedule)
-    z = normals_from_uniforms(u[:, 1])
-    std = np.sqrt(params.alpha * params.alpha * t)
-    log_state = math.log(params.x0) + params.log_drift * t + std * z
-    out = np.empty_like(u)
-    out[:, 0] = t
-    out[:, 1] = np.exp(log_state)
-    return out
+    # alpha * alpha * t can overflow and give NaN; levels_from_logs rejects both
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_state = terminal_log_from_normals(params, t, normals_from_uniforms(u[:, 1]))
+    return np.column_stack((t, levels_from_logs(params, log_state)))
 
 
 def sample_killed_state(
@@ -114,9 +112,9 @@ def sample_killed_batch(
 ) -> np.ndarray:
     """n independent (kill_time, state) rows; row i replays stream ``i``.
 
-    Returns an array of shape (n, 2), columns (kill_time, state). The output
-    is byte-identical for any ``workers`` value; the argument only controls
-    how the index range is chunked.
+    Returns an array of shape (n, 2), columns (kill_time, state). Rows
+    are computed here as one range; ``workers`` must be >= 1 and does not
+    change the output, which is byte-identical to any sharding of the range.
     """
     n = int(n)
     if n < 1:
@@ -124,16 +122,7 @@ def sample_killed_batch(
     workers = int(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    parts = [
-        killed_rows_range(params, schedule, master_seed, lo, hi)
-        for lo, hi in _chunk_ranges(n, workers)
-    ]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-
-
-def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    size = -(-n // workers)
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    return killed_rows_range(params, schedule, master_seed, 0, n)
 
 
 BATCH_CSV_HEADER = "kill_time,state"

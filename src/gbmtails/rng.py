@@ -90,13 +90,11 @@ class RngStream:
 
     def normal(self) -> float:
         """Next standard normal draw, inverse-CDF transform of uniform()."""
-        return float(ndtri(max(self._gen.random(), _U_FLOOR)))
+        return float(normals_from_uniforms(self._gen.random()))
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal draws."""
-        u = self._gen.random(int(n))
-        np.maximum(u, _U_FLOOR, out=u)
-        return ndtri(u)
+        return normals_from_uniforms(self._gen.random(int(n)))
 
     # -- derived streams --------------------------------------------------
 
@@ -223,6 +221,6 @@ class StreamUniformBlock:
         return out
 
 
-def normals_from_uniforms(u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF normals from uniforms, matching RngStream.normal()."""
+def normals_from_uniforms(u):
+    """Inverse-CDF normals from a uniform or an array; every normal drawn comes through here."""
     return ndtri(np.maximum(u, _U_FLOOR))

@@ -2,9 +2,11 @@
 
 The process is dX = r X dt + alpha X dB (Ito interpretation). Its log is
 Brownian with drift, so the terminal value at a fixed horizon has a
-closed-form lognormal law; the exact sampler works in log space and only
-exponentiates on demand, which cannot overflow for large horizons. The
-Euler discretization exists for validation, not production sampling.
+closed-form lognormal law. Every exact draw, at a fixed horizon here or at
+a random one in ``killing``, goes through :func:`terminal_log_from_normals`
+and, in levels, :func:`levels_from_logs`, which rejects a level outside
+float64 (``inf`` or ``0``); ``sample_terminal_log_batch`` gives the logs.
+The Euler discretization exists for validation, not production sampling.
 """
 
 from __future__ import annotations
@@ -103,10 +105,30 @@ def terminal_log_law(params: GbmParams, t: float) -> LogTerminalLaw:
     return LogTerminalLaw(mean=mean, variance=variance)
 
 
+def terminal_log_from_normals(params: GbmParams, t, z):
+    """ln x0 + (r - alpha^2/2) t + alpha sqrt(t) z: the exact ln X_t given the shock ``z``.
+
+    ``t`` and ``z`` are scalars or arrays of one shape; ``t`` is not checked.
+    """
+    return math.log(params.x0) + params.log_drift * t + np.sqrt(params.alpha * params.alpha * t) * z
+
+
+def levels_from_logs(params: GbmParams, logs) -> np.ndarray:
+    """exp of sampled log levels; ValueError if one is inf, 0 or NaN in float64."""
+    with np.errstate(over="ignore"):
+        levels = np.exp(logs)
+    if not np.all((levels > 0) & (levels < np.inf)):
+        raise ValueError(
+            f"GBM levels at x0={params.x0!r}, r={params.r!r}, alpha={params.alpha!r} "
+            "do not fit in float64: a level is inf, 0 or NaN"
+        )
+    return levels
+
+
 def sample_terminal_log(params: GbmParams, t: float, rng: RngStream) -> float:
     """Exact draw of ln X_t (no discretization error)."""
-    law = terminal_log_law(params, t)
-    return law.mean + law.std * rng.normal()
+    terminal_log_law(params, t)  # rejects a bad horizon and a law that is not finite
+    return float(terminal_log_from_normals(params, float(t), rng.normal()))
 
 
 def sample_terminal_log_batch(
@@ -120,16 +142,16 @@ def sample_terminal_log_batch(
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    law = terminal_log_law(params, t)
+    terminal_log_law(params, t)  # rejects a bad horizon and a law that is not finite
     u = StreamUniformBlock(master_seed, width=1).take(0, n)[:, 0]
-    return law.mean + law.std * normals_from_uniforms(u)
+    return terminal_log_from_normals(params, float(t), normals_from_uniforms(u))
 
 
 def sample_terminal_levels(
     params: GbmParams, t: float, n: int, master_seed: int
 ) -> np.ndarray:
-    """n exact draws of X_t in levels."""
-    return np.exp(sample_terminal_log_batch(params, t, n, master_seed))
+    """n exact draws of X_t in levels; ValueError if one is inf or 0 in float64."""
+    return levels_from_logs(params, sample_terminal_log_batch(params, t, n, master_seed))
 
 
 def euler_path(params: GbmParams, t: float, n_steps: int, rng: RngStream) -> SamplePath:

@@ -24,25 +24,13 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
+# JSON escapes: short forms where JSON has them, \u00xx for other controls.
+_ESCAPES = {c: "\\u%04x" % c for c in range(0x20)}
+_ESCAPES.update(str.maketrans({'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}))
+
+
 def _escape_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def canonical_json(obj, indent: int = 0) -> str:

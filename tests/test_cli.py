@@ -188,6 +188,21 @@ class TestSimulate:
         assert named in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("args", [
+        ("--mode", "killed", "--r", "1", "--alpha", "0.5", "--nu", "0.01", "--workers", "1"),
+        ("--mode", "killed", "--r", "1", "--alpha", "0.5", "--nu", "0.01", "--workers", "2"),
+        ("--mode", "killed", "--r", "0.05", "--alpha", "1e200", "--nu", "0.01"),
+        ("--mode", "gbm", "--r", "100", "--alpha", "0.5", "--t", "10"),
+        ("--mode", "gbm", "--r", "-100", "--alpha", "0.5", "--t", "10"),
+    ])
+    def test_levels_outside_float64_exit_2(self, capsys, tmp_path, args):
+        code, out, err = run_cli(capsys, "simulate", "--n", "1000", "--seed", "3", *args,
+                                 "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert "do not fit in float64" in err and "Warning" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_empty_output_path_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--mode", "gbm", "--r", "0.05",
                                "--alpha", "0.2", "--t", "1", "--n", "10", "--out", "")

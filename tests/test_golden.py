@@ -7,8 +7,9 @@ and scipy's ``spearmanr``, before the shared loadtxt sample reader and the
 numpy Spearman; the ``*_past_read_ahead`` digests by one
 ``substream(i).uniform()`` call per agent per step, before the substream
 read-ahead; the 100k-point ``figure1`` digest, the benchmark's pin, by the
-per-point exponent solver, before the shared array body); any change to
-them is a change to the program's output bytes.
+per-point exponent solver, before the shared array body; the ``solve``
+digests by the report built field by field, before ``asdict``); any change
+to them is a change to the program's output bytes.
 """
 
 import hashlib
@@ -87,6 +88,21 @@ def test_figure1(capsys):
                  "--alpha-max", "2", "--points", "200"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "7fb7bcae20326deb8fbbfc030a3d73a4556311176ac569e1d74e5861889e4955"
+
+
+@pytest.mark.parametrize("args,digest", [
+    (("--r", "0.05", "--alpha", "0.2", "--nu", "0.01", "--convention", "both"),
+     "d83e722f516ae579e50d8fa89f10eb2a87dccb6b2daad82c8a9e0a36024a5b45"),
+    (("--r", "0.05", "--alpha", "0.2", "--nu", "0.01", "--convention", "canonical"),
+     "0422ddb4a57a33f18616247ce12602cdbbab1008ea750c1b8bf5ae3e4263acbc"),
+    (("--r", "0.05", "--alpha", "0.2", "--nu", "0.01", "--convention", "signed"),
+     "fb8750164f0363ae18a328210695d6b5a9f0b47f9c048f0577c4b63e8e36c0ad"),
+    (("--r", "0.5", "--alpha", "1.0", "--nu", "0.02"),  # the critical volatility
+     "b2852ce2451e3ed3c797422d6d7651ffcbc7cdf6e474ee5b125b33381bb32353"),
+])
+def test_solve(capsys, args, digest):
+    assert main(["solve", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_figure1_full_grid(capsys):

@@ -9,13 +9,14 @@ from gbmtails.fitting import SampleSet, hill_estimator
 from gbmtails.killing import (
     KilledSample,
     KillSchedule,
+    _killed_rows,
     kill_time_from_uniform,
     sample_kill_time,
     sample_killed_batch,
     sample_killed_state,
     write_batch_csv,
 )
-from gbmtails.rng import RngStream
+from gbmtails.rng import RngStream, normals_from_uniforms
 from gbmtails.sde import GbmParams, terminal_log_law
 
 from conftest import QUASI, SCHEDULE
@@ -96,6 +97,36 @@ class TestKilledState:
     def test_batch_rejects_worker_count_below_one(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             sample_killed_batch(QUASI, SCHEDULE, 10, master_seed=1, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_rejects_a_state_that_overflows(self, workers):
+        # row 148 of seed 3 overflows float64; the other 999 rows do not
+        with pytest.raises(ValueError, match=r"x0=1\.0, r=1\.0, alpha=0\.5"):
+            sample_killed_batch(GbmParams(1.0, 1.0, 0.5), SCHEDULE, 1000, 3, workers=workers)
+
+    def test_state_rejects_overflow(self):
+        params = GbmParams(1.0, 1.0, 0.5)
+        sample_killed_state(params, SCHEDULE, RngStream(3, 147))
+        with pytest.raises(ValueError, match="do not fit in float64"):
+            sample_killed_state(params, SCHEDULE, RngStream(3, 148))
+
+    def test_rows_equal_the_inline_formula(self):
+        # the kernel's formulas as written before they moved into sde
+        gen = np.random.default_rng(11)
+        for _ in range(50):
+            params = GbmParams(x0=math.exp(gen.uniform(-5, 5)), r=gen.uniform(-1, 1),
+                               alpha=gen.choice([0.0, gen.uniform(0, 2)]))
+            schedule = KillSchedule(nu=gen.uniform(0.5, 5))
+            u = gen.random((200, 2))
+            u[0, 0] = u[1, 1] = 0.0  # a zero horizon and the floored shock
+            t = kill_time_from_uniform(u[:, 0], schedule)
+            std = np.sqrt(params.alpha * params.alpha * t)
+            log_state = (math.log(params.x0) + params.log_drift * t
+                         + std * normals_from_uniforms(u[:, 1]))
+            expected = np.empty_like(u)
+            expected[:, 0] = t
+            expected[:, 1] = np.exp(log_state)
+            assert _killed_rows(params, schedule, u).tobytes() == expected.tobytes()
 
     def test_small_volatility_limit_is_pure_pareto(self):
         # as alpha -> 0 the state is x0 * exp(r T): upper tail exponent nu/r

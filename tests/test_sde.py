@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from gbmtails.rng import RngStream
+from gbmtails.rng import RngStream, StreamUniformBlock, normals_from_uniforms
 from gbmtails.sde import (
     GbmParams,
     SamplePath,
@@ -81,6 +81,25 @@ class TestExactSampler:
         logs = sample_terminal_log_batch(PARAMS, 2.0, 100, master_seed=3)
         levels = sample_terminal_levels(PARAMS, 2.0, 100, master_seed=3)
         assert np.array_equal(levels, np.exp(logs))
+
+    @pytest.mark.parametrize("r", [100.0, -100.0])
+    def test_levels_outside_float64_are_rejected(self, r):
+        params = GbmParams(x0=1.0, r=r, alpha=0.5)
+        assert np.all(np.isfinite(sample_terminal_log_batch(params, 10.0, 100, master_seed=7)))
+        with pytest.raises(ValueError, match=f"x0=1.0, r={r!r}, alpha=0.5"):
+            sample_terminal_levels(params, 10.0, 100, master_seed=7)
+
+    def test_logs_equal_the_closed_form_law(self):
+        # the batch formula as written before it moved into terminal_log_from_normals
+        gen = np.random.default_rng(13)
+        for seed in range(50):
+            params = GbmParams(x0=math.exp(gen.uniform(-5, 5)), r=gen.uniform(-1, 1),
+                               alpha=gen.choice([0.0, gen.uniform(0, 2)]))
+            t = gen.choice([0.0, gen.uniform(0, 50)])
+            law = terminal_log_law(params, t)
+            u = StreamUniformBlock(seed, width=1).take(0, 200)[:, 0]
+            expected = law.mean + law.std * normals_from_uniforms(u)
+            assert sample_terminal_log_batch(params, t, 200, seed).tobytes() == expected.tobytes()
 
     def test_distribution_ks(self):
         law = terminal_log_law(PARAMS, 10.0)

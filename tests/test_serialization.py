@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gbmtails.serialization import (
+    _escape_string,
     atomic_write,
     atomic_write_text,
     canonical_json,
@@ -47,6 +48,30 @@ class TestCanonicalJson:
     def test_string_escaping(self):
         parsed = json.loads(dumps({"s": 'a"b\\c\n\t\x01'}))
         assert parsed["s"] == 'a"b\\c\n\t\x01'
+
+    def test_escape_table_matches_per_character_loop(self):
+        def escape_loop(s):  # the escaper the translate table replaced
+            out = ['"']
+            for ch in s:
+                if ch == '"':
+                    out.append('\\"')
+                elif ch == "\\":
+                    out.append("\\\\")
+                elif ch == "\n":
+                    out.append("\\n")
+                elif ch == "\r":
+                    out.append("\\r")
+                elif ch == "\t":
+                    out.append("\\t")
+                elif ord(ch) < 0x20:
+                    out.append("\\u%04x" % ord(ch))
+                else:
+                    out.append(ch)
+            out.append('"')
+            return "".join(out)
+
+        every = "".join(map(chr, range(0x110000)))  # lone surrogates included
+        assert _escape_string(every) == escape_loop(every)
 
     def test_rejects_non_string_keys(self):
         with pytest.raises(TypeError):
