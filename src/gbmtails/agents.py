@@ -259,16 +259,8 @@ def spearmanr(x, y) -> float:
 
 
 def _modal(labels: list[str]) -> str:
-    if not labels:
-        return "none"
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    best = max(counts.values())
-    for lab in sorted(counts):
-        if counts[lab] == best:
-            return lab
-    return "none"  # pragma: no cover
+    """Most frequent label, alphabetically first among ties; "none" if empty."""
+    return max(sorted(set(labels)), key=labels.count) if labels else "none"
 
 
 SWEEP_CSV_HEADER = "noise_std,coupling,effective_alpha,m1_hat,preferred_model,spearman_rho"

@@ -352,6 +352,9 @@ def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
             "version": __version__,
             "outputs": outputs,
         }
+        if os.path.isabs(outputs[0]["path"]):
+            # the manifest's own path no longer tells where the run was made
+            manifest["run_dir"] = os.getcwd()
         atomic_write_text(_manifest_path(result.artifacts[0].path), dumps(manifest))
     return outputs
 
@@ -406,8 +409,13 @@ def _run_replay(args: argparse.Namespace) -> int:
     if not (here.endswith(tail) and (run_dir == "" or run_dir.endswith(os.sep))):
         raise ValueError(f"manifest path {args.manifest!r} does not end with its recorded "
                          f"name {tail!r}, so the run's directory is unknown")
+    if run_dir == "":
+        run_dir = manifest.get("run_dir")
+        if not (isinstance(run_dir, str) and os.path.isabs(run_dir)):
+            raise ValueError("manifest with an absolute first output needs an absolute "
+                             f"'run_dir' string, got {run_dir!r}")
     home = os.getcwd()
-    os.chdir(run_dir or home)
+    os.chdir(run_dir)
     try:
         result = COMMANDS[command].run(params)
         # Regenerate into a scratch directory: replay only checks, it never

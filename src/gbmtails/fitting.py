@@ -206,16 +206,18 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
     For a fixed center c the tail rates are the reciprocal mean log
     distances on each side, m1 = n_above / sum(ln(x/c) above) and
     m2 = n_below / sum(ln(c/x) below), with points tied to the center
-    carrying no distance and counted on neither side. The center is
-    profiled over the observed order statistics (only candidates with at
-    least one point strictly on each side are admissible), then refined by
-    golden section between the neighbours of the best candidate; the
+    carrying no distance and counted on neither side. The candidate centers
+    are the interior distinct values (every distinct value but the smallest
+    and the largest, exactly those with data strictly on both sides). The
+    best candidate is refined by golden section between its neighbours; the
     profile is piecewise smooth with kinks at the data points, so the
     candidate itself is kept when the kink is the peak.
 
-    Raises OneSidedDataError when no candidate has data on both sides
-    (all log-distance mass on one side): the data wants a one-sided power
-    law, so fit the pareto_tail model instead.
+    Raises OneSidedDataError when there are fewer than 3 distinct values
+    (no candidate has data on both sides): the data wants a one-sided power
+    law, so fit the pareto_tail model instead. Raises DegenerateInputError
+    when distinct values share a float64 log, leaving a candidate no
+    log distance on one side.
     """
     x = np.sort(samples.values)
     n = x.size
@@ -227,80 +229,75 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
     prefix = np.cumsum(logs)
     total = prefix[-1]
 
-    uniq, first = np.unique(x, return_index=True)
-    right = np.append(first[1:], n)  # one past the last occurrence
-    log_u = np.log(uniq)
-    n_lo = first.astype(float)
-    n_hi = (n - right).astype(float)
-    sum_lo = np.where(first > 0, prefix[first - 1], 0.0)
-    sum_hi = total - prefix[right - 1]
-    s_lo = n_lo * log_u - sum_lo
-    s_hi = sum_hi - n_hi * log_u
-    valid = (n_lo >= 1) & (n_hi >= 1)
-    if not np.any(valid):
+    # first index of every distinct value but the smallest; a candidate's
+    # points span [first, right), so first points lie below it, n - right above
+    starts = np.flatnonzero(x[1:] != x[:-1]) + 1
+    if starts.size < 2:
         raise OneSidedDataError(
             "no candidate center has data on both sides; fit the pareto_tail model"
         )
-
-    ll = np.full(uniq.size, -np.inf)
-    m1 = n_hi[valid] / s_hi[valid]
-    m2 = n_lo[valid] / s_lo[valid]
-    ll[valid] = (
-        n * (np.log(m1) + np.log(m2) - np.log(m1 + m2) - log_u[valid])
-        - n_lo[valid]
-        - n_hi[valid]
-        + (s_lo[valid] - s_hi[valid])
-    )
+    first, right = starts[:-1], starts[1:]
+    log_u = logs[first]
+    n_hi = n - right
+    s_lo = first * log_u - prefix[first - 1]
+    s_hi = (total - prefix[right - 1]) - n_hi * log_u
+    if np.any(s_lo <= 0.0) or np.any(s_hi <= 0.0):
+        raise DegenerateInputError(
+            "distinct values with equal float64 logs leave a candidate center "
+            "no log distance on one side"
+        )
+    ll = _profile_loglik(n, first, n_hi, s_lo, s_hi, log_u, np.log)
     # the profile can be exactly flat (log-equispaced data); break ulp-level
     # ties toward the most balanced split so symmetric samples keep their
     # center, without disturbing genuinely distinct candidates
     ll_max = float(np.max(ll))
     tied = np.flatnonzero(ll >= ll_max - 64.0 * np.spacing(max(1.0, abs(ll_max))))
-    best = int(tied[np.argmin(np.abs(n_lo[tied] - n_hi[tied]))])
+    best = int(tied[np.argmin(np.abs(first[tied] - n_hi[tied]))])
+
+    def split(c: float) -> tuple[int, int]:
+        """Number of points below c, and index of the first point above it."""
+        return int(np.searchsorted(x, c, side="left")), int(np.searchsorted(x, c, side="right"))
 
     def profile(c: float) -> float:
-        left = int(np.searchsorted(x, c, side="left"))
-        rgt = int(np.searchsorted(x, c, side="right"))
-        k_lo, k_hi = left, n - rgt
-        if k_lo < 1 or k_hi < 1:
+        left, rgt = split(c)
+        if left < 1 or rgt >= n:
             return -math.inf
         log_c = math.log(c)
-        lo = k_lo * log_c - prefix[left - 1]
-        hi = (total - prefix[rgt - 1]) - k_hi * log_c
-        mm1 = k_hi / hi
-        mm2 = k_lo / lo
-        return (
-            n * (math.log(mm1) + math.log(mm2) - math.log(mm1 + mm2) - log_c)
-            - k_lo
-            - k_hi
-            + (lo - hi)
-        )
+        lo = left * log_c - prefix[left - 1]
+        hi = (total - prefix[rgt - 1]) - (n - rgt) * log_c
+        return _profile_loglik(n, left, n - rgt, lo, hi, log_c, math.log)
 
     # refine between the neighbours of the best candidate; golden section
     # runs in log-ratio coordinates so its iterates commute with rescaling
-    center = float(uniq[best])
-    lo_edge = float(uniq[best - 1]) if best > 0 else center
-    hi_edge = float(uniq[best + 1]) if best < uniq.size - 1 else center
-    if hi_edge > lo_edge:
-        theta = _golden_max(
-            lambda th: profile(center * math.exp(th)),
-            math.log(lo_edge / center),
-            math.log(hi_edge / center),
-        )
-        refined = center * math.exp(theta)
-        if profile(refined) > ll[best]:
-            center = float(refined)
+    center = float(x[first[best]])
+    theta = _golden_max(
+        lambda th: profile(center * math.exp(th)),
+        math.log(float(x[first[best] - 1]) / center),
+        math.log(float(x[right[best]]) / center),
+    )
+    refined = center * math.exp(theta)
+    if profile(refined) > ll[best]:
+        center = float(refined)
 
     # final side sums computed directly (not via prefix differences) so
     # exactly mirrored samples give byte-equal rates
+    left, rgt = split(center)
     log_c = math.log(center)
-    below = logs[x < center]
-    above = logs[x > center]
+    below, above = logs[:left], logs[rgt:]
     s_lo_c = below.size * log_c - float(np.sum(below))
     s_hi_c = float(np.sum(above)) - above.size * log_c
     m1_hat = above.size / s_hi_c
     m2_hat = below.size / s_lo_c
     return float(center), float(m1_hat), float(m2_hat), float(profile(center))
+
+
+def _profile_loglik(n, k_lo, k_hi, lo, hi, log_c, log):
+    """Log-likelihood at center exp(log_c) with both rates profiled out, for
+    k_lo points below (log-distance sum lo) and k_hi above (sum hi). profile()
+    passes math.log, not np.log, which rounds a few inputs differently."""
+    m1 = k_hi / hi
+    m2 = k_lo / lo
+    return n * (log(m1) + log(m2) - log(m1 + m2) - log_c) - k_lo - k_hi + (lo - hi)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from scipy.stats import kstest
 from gbmtails.agents import (
     HiaParams,
     Population,
+    _modal,
     _update_sizes,
     init_population,
     run_hia,
@@ -245,6 +247,25 @@ class TestSweep:
             run_sweep(base, "noise_std", [0.1], 1, 0)
         with pytest.raises(ValueError):
             run_sweep(base, "noise_std", [0.1, 0.2], 0, 0)
+
+
+def reference_modal(labels):
+    """The sweep's modal model written out as a counting loop."""
+    if not labels:
+        return "none"
+    counts = {}
+    for lab in labels:
+        counts[lab] = counts.get(lab, 0) + 1
+    best = max(counts.values())
+    return next(lab for lab in sorted(counts) if counts[lab] == best)
+
+
+def test_modal_breaks_ties_alphabetically_like_the_counting_loop():
+    models = ("double_pareto", "lognormal", "pareto_tail")
+    for length in range(7):
+        for labels in itertools.product(models, repeat=length):
+            assert _modal(list(labels)) == reference_modal(list(labels)), labels
+    assert _modal(["pareto_tail", "lognormal"]) == "lognormal"
 
 
 class TestSpearman:

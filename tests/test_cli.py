@@ -545,6 +545,42 @@ class TestConfigAndReplay:
         assert (run_dir / "f.json").read_bytes() == fit_bytes
         assert os.getcwd() == str(tmp_path)
 
+    def test_replay_of_an_absolute_output_runs_in_the_recorded_directory(
+            self, capsys, tmp_path, monkeypatch):
+        """fit's relative input resolves against the run's directory, not the
+        manifest's, when --out was absolute."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "t3").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        run_cli(capsys, "simulate", "--mode", "gbm", "--r", "0.05", "--alpha", "0.5",
+                "--t", "10", "--n", "200", "--seed", "4", "--out", "g.csv")
+        out_path = str(tmp_path / "t3" / "f.json")
+        assert run_cli(capsys, "fit", "g.csv", "--out", out_path)[0] == 0
+        manifest_path = tmp_path / "t3" / "f.json.manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        assert doc["run_dir"] == str(tmp_path / "a")
+        monkeypatch.chdir(tmp_path / "t3")
+        code, out, _ = run_cli(capsys, "replay", "f.json.manifest.json")
+        assert code == 0
+        assert [o["path"] for o in json.loads(out)["outputs"]] == [out_path]
+        assert os.getcwd() == str(tmp_path / "t3")
+        for run_dir in ("a", None, 5):
+            doc["run_dir"] = run_dir
+            manifest_path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "replay", "f.json.manifest.json")
+            assert code == 2 and out == "" and "run_dir" in err
+        del doc["run_dir"]
+        manifest_path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "replay", "f.json.manifest.json")[0] == 2
+
+    def test_manifest_of_a_relative_output_records_no_directory(self, capsys, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                "--out", "s.json")
+        doc = json.loads((tmp_path / "s.json.manifest.json").read_text())
+        assert sorted(doc) == ["command", "outputs", "params", "seed", "version"]
+
     def test_replay_reproduces_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"
         run_cli(capsys, "figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min",

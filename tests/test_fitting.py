@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gbmtails.fitting import (
     OneSidedDataError,
     SampleCsvError,
     SampleSet,
+    _golden_max,
     compare_models,
     default_hill_k,
     fit_dpareto_mle,
@@ -142,6 +144,18 @@ class TestDoubleParetoFit:
         with pytest.raises(OneSidedDataError):
             fit_dpareto_mle(SampleSet(np.array([1.0, 1.0, 1.0, 2.0, 2.0])))
 
+    def test_distinct_values_with_equal_logs_are_degenerate(self):
+        # 39 distinct values whose float64 logs all coincide: every side sum
+        # of log distances is zero, so no rate can be estimated
+        x = 1e300 * (1.0 + np.arange(1, 40) * 2.3e-16)
+        assert np.unique(x).size == 39 and np.unique(np.log(x)).size == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="equal float64 logs"):
+                fit_dpareto_mle(SampleSet(x))
+            report = compare_models(SampleSet(x))
+        assert "equal float64 logs" in report.errors["double_pareto"]
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             fit_dpareto_mle(SampleSet(np.array([1.0, 2.0])))
@@ -159,6 +173,130 @@ class TestDoubleParetoFit:
                 errs.append(abs(m1 - truth.m1))
             med_errs.append(np.median(errs))
         assert med_errs[0] > med_errs[1] > med_errs[2]
+
+
+def _reference_fit_dpareto_mle(samples):
+    """The fitter as it was before its candidates became the interior
+    distinct values: every distinct value, masked to the admissible ones."""
+    x = np.sort(samples.values)
+    n = x.size
+    if n < 3:
+        raise ValueError("double-Pareto fit needs n >= 3")
+    if x[0] == x[-1]:
+        raise ValueError("double-Pareto fit needs at least 2 distinct values")
+    logs = np.log(x)
+    prefix = np.cumsum(logs)
+    total = prefix[-1]
+
+    uniq, first = np.unique(x, return_index=True)
+    right = np.append(first[1:], n)
+    log_u = np.log(uniq)
+    n_lo = first.astype(float)
+    n_hi = (n - right).astype(float)
+    sum_lo = np.where(first > 0, prefix[first - 1], 0.0)
+    sum_hi = total - prefix[right - 1]
+    s_lo = n_lo * log_u - sum_lo
+    s_hi = sum_hi - n_hi * log_u
+    valid = (n_lo >= 1) & (n_hi >= 1)
+    if not np.any(valid):
+        raise OneSidedDataError(
+            "no candidate center has data on both sides; fit the pareto_tail model"
+        )
+
+    ll = np.full(uniq.size, -np.inf)
+    m1 = n_hi[valid] / s_hi[valid]
+    m2 = n_lo[valid] / s_lo[valid]
+    ll[valid] = (
+        n * (np.log(m1) + np.log(m2) - np.log(m1 + m2) - log_u[valid])
+        - n_lo[valid]
+        - n_hi[valid]
+        + (s_lo[valid] - s_hi[valid])
+    )
+    ll_max = float(np.max(ll))
+    tied = np.flatnonzero(ll >= ll_max - 64.0 * np.spacing(max(1.0, abs(ll_max))))
+    best = int(tied[np.argmin(np.abs(n_lo[tied] - n_hi[tied]))])
+
+    def profile(c):
+        left = int(np.searchsorted(x, c, side="left"))
+        rgt = int(np.searchsorted(x, c, side="right"))
+        k_lo, k_hi = left, n - rgt
+        if k_lo < 1 or k_hi < 1:
+            return -math.inf
+        log_c = math.log(c)
+        lo = k_lo * log_c - prefix[left - 1]
+        hi = (total - prefix[rgt - 1]) - k_hi * log_c
+        mm1 = k_hi / hi
+        mm2 = k_lo / lo
+        return (
+            n * (math.log(mm1) + math.log(mm2) - math.log(mm1 + mm2) - log_c)
+            - k_lo
+            - k_hi
+            + (lo - hi)
+        )
+
+    center = float(uniq[best])
+    lo_edge = float(uniq[best - 1]) if best > 0 else center
+    hi_edge = float(uniq[best + 1]) if best < uniq.size - 1 else center
+    if hi_edge > lo_edge:
+        theta = _golden_max(
+            lambda th: profile(center * math.exp(th)),
+            math.log(lo_edge / center),
+            math.log(hi_edge / center),
+        )
+        refined = center * math.exp(theta)
+        if profile(refined) > ll[best]:
+            center = float(refined)
+
+    log_c = math.log(center)
+    below = logs[x < center]
+    above = logs[x > center]
+    s_lo_c = below.size * log_c - float(np.sum(below))
+    s_hi_c = float(np.sum(above)) - above.size * log_c
+    m1_hat = above.size / s_hi_c
+    m2_hat = below.size / s_lo_c
+    return float(center), float(m1_hat), float(m2_hat), float(profile(center))
+
+
+def _outcome(fit, x):
+    """A fit's result as exact float bits, or its exception type and message."""
+    try:
+        return [v.hex() for v in fit(SampleSet(x))]
+    except ValueError as exc:
+        return [type(exc), str(exc)]
+
+
+def _reference_families():
+    truth = DoubleParetoDist(center=1.0, m1=1.5, m2=0.8)
+    for n in (3, 4, 5, 7, 10, 31, 100, 400):
+        base = dpareto_samples(truth, n, seed=n)
+        families = {
+            "dpareto": base,
+            "tied": np.round(base, 1) + 0.1,
+            "small_integers": 1.0 + np.floor(RngStream(n, 1).uniforms(n) * 4.0),
+            "log_equispaced": np.exp(np.linspace(-3.0, 3.0, n)),
+            "powers_of_two": 2.0 ** (np.arange(n) - n // 2),
+            "mirrored": np.concatenate([base, 1.0 / base]),
+            "pareto": pareto_samples(n, 1.5, seed=n),
+        }
+        for name, x in families.items():
+            for scale in (1.0, 1e100, 1e-100):
+                yield f"{name}-n{n}-x{scale:g}", x * scale
+    yield "symmetric", np.array([0.25, 0.5, 1.0, 2.0, 4.0])
+    yield "two_values", np.array([1.0, 1.0, 1.0, 2.0, 2.0])
+    yield "n2", np.array([1.0, 2.0])
+    yield "point_mass", np.full(10, 1.0)
+
+
+class TestDoubleParetoReference:
+    """The fitter returns the reference's bits, or raises its exception."""
+
+    def test_small_sample_families(self):
+        for label, x in _reference_families():
+            assert _outcome(fit_dpareto_mle, x) == _outcome(_reference_fit_dpareto_mle, x), label
+
+    def test_large_killed_sample(self, quasi_batch):
+        x = quasi_batch[:200_000, 1]
+        assert _outcome(fit_dpareto_mle, x) == _outcome(_reference_fit_dpareto_mle, x)
 
 
 class TestInvariances:
