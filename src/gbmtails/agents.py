@@ -9,7 +9,11 @@ term ``coupling_in * mean`` feeds every agent, a competition term
              + coupling_in * wbar - coupling_out * wbar * w_i
 
 Updates are synchronous: the mean is taken from the pre-update snapshot,
-so the result does not depend on agent evaluation order. Sizes are clamped
+so the result does not depend on agent evaluation order. Agent i's k-th
+shock (the initial size is shock 0) is the inverse-CDF normal of draw k of
+substream i of the master stream, taken by ``RngStream.substream_normals``,
+so exchanging two agents exchanges their whole shock histories and the
+update commutes with relabeling. Sizes are clamped
 at a positive floor instead of killing agents, which keeps the population
 fixed and the fitted tail exponents comparable across a sweep.
 
@@ -35,7 +39,7 @@ from .fitting import (
     SampleSet,
     compare_models,
 )
-from .rng import RngStream, normals_from_uniforms
+from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,6 @@ class Population:
             raise ValueError("step must be non-negative")
 
 
-def _agent_normals(rng: RngStream, n: int) -> np.ndarray:
-    """Next shock for each of n agents, one per memoized per-agent substream.
-
-    Agent i's k-th shock is the inverse-CDF normal of draw k of substream i
-    of the master stream, so exchanging two agents exchanges their whole
-    shock histories and the update commutes with relabeling. The draws come
-    through ``rng.substream_uniforms``, which reads them ahead in blocks.
-    """
-    return normals_from_uniforms(rng.substream_uniforms(n))
-
-
 def _stable_mean(sizes: np.ndarray) -> float:
     # summed in sorted order so the mean is invariant under agent permutation
     return float(np.sum(np.sort(sizes)) / sizes.size)
@@ -112,7 +105,7 @@ def _clamp(sizes: np.ndarray, floor: float) -> int:
 
 def init_population(params: HiaParams, rng: RngStream) -> Population:
     """Lognormal initial sizes (log-mean 0, log-std noise_std), clamped at the floor."""
-    z = _agent_normals(rng, params.n_agents)
+    z = rng.substream_normals(params.n_agents)
     sizes = np.exp(params.noise_std * z)
     clamped = _clamp(sizes, params.floor)
     return Population(sizes=sizes, step=0, clamped=clamped)
@@ -131,7 +124,7 @@ def step_population(pop: Population, params: HiaParams, rng: RngStream) -> Popul
     sizes = pop.sizes
     if sizes.size != params.n_agents:
         raise ValueError("population size does not match params.n_agents")
-    z = _agent_normals(rng, params.n_agents)
+    z = rng.substream_normals(params.n_agents)
     growth = np.exp(params.drift + params.noise_std * z)
     new_sizes = _update_sizes(sizes, growth, params)
     clamped = _clamp(new_sizes, params.floor)

@@ -2,12 +2,14 @@
 
 Every file-producing command writes its artifacts atomically and drops a
 run manifest (``<out>.manifest.json``) recording the command, the fully
-merged parameters, the master seed, the package version, and a sha256
-digest per output file. ``gbmtails replay <manifest>`` re-executes the
-recorded run into a scratch directory and checks both the regenerated and
-the on-disk files against the recorded digests, resolving relative paths
-against the directory the run was made in; replay never writes the
-recorded files or the manifest.
+merged parameters, the master seed, the package version, the Python and
+numpy versions the output bytes rest on, and a sha256 digest per output
+file. ``gbmtails replay <manifest>`` re-executes the recorded run into a
+scratch directory and checks both the regenerated and the on-disk files
+against the recorded digests, resolving relative paths against the
+directory the run was made in; replay never writes the recorded files or
+the manifest. It warns on stderr for each library whose version differs
+from the recorded one, but only the digests decide its exit code.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 invariant violation (e.g. a replay that fails to reproduce).
@@ -26,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -350,6 +353,7 @@ def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
             "params": params,
             "seed": params.get("seed"),
             "version": __version__,
+            "libraries": _libraries(),
             "outputs": outputs,
         }
         if os.path.isabs(outputs[0]["path"]):
@@ -357,6 +361,11 @@ def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
             manifest["run_dir"] = os.getcwd()
         atomic_write_text(_manifest_path(result.artifacts[0].path), dumps(manifest))
     return outputs
+
+
+def _libraries() -> dict:
+    """Versions of what the output bytes rest on besides this package."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _manifest_path(out_path: str) -> str:
@@ -399,6 +408,14 @@ def _run_replay(args: argparse.Namespace) -> int:
     )):
         raise ValueError("manifest outputs must be a non-empty list of {path, sha256} strings")
     params = _params(command, manifest["params"], "manifest params")
+    recorded_libraries = manifest.get("libraries", {})
+    if not isinstance(recorded_libraries, dict):
+        raise ValueError("manifest libraries must be an object of version strings")
+    for name, version in _libraries().items():
+        was = recorded_libraries.get(name)
+        if was != version:
+            print(f"warning: the run recorded {name} {was or 'unknown'}, this replay uses "
+                  f"{name} {version}; the digests decide", file=sys.stderr)
     # Relative recorded paths (outputs, fit's input) resolve against the run's
     # directory, and stay the recorded strings so the digests still match. The
     # manifest was written to <run dir>/<first output>.manifest.json; its own

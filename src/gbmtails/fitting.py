@@ -18,8 +18,8 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._ndtr import ndtr
 from .dpareto import DoubleParetoDist, dpareto_cdf
 from .killing import BATCH_CSV_HEADER
 from .serialization import atomic_write, write_float_rows
@@ -162,7 +162,8 @@ def hill_estimator(samples: SampleSet, k: int) -> float:
     top = np.log(x[n - k :])
     threshold = math.log(x[n - k - 1])
     denom = float(np.sum(top) - k * threshold)
-    if denom <= 0.0:
+    # equal logs can leave a positive denominator made of rounding alone
+    if denom <= 0.0 or top[-1] == threshold:
         raise DegenerateInputError(
             "zero log-spacings in the upper tail (tied order statistics)"
         )
@@ -182,7 +183,7 @@ def fit_lognormal(samples: SampleSet) -> tuple[float, float, float]:
         raise ValueError("lognormal fit needs n >= 2")
     logs = np.log(x)
     mu = float(np.mean(logs))
-    if x[0] == x[-1]:  # point mass; rounding can hide it in the log moments
+    if logs[0] == logs[-1]:  # point mass in float64 logs; rounding can hide it in the moments
         return math.log(x[0]), 0.0, math.inf
     sigma = float(math.sqrt(np.mean((logs - mu) ** 2)))
     if sigma == 0.0:

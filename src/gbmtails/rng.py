@@ -10,30 +10,35 @@ samplers take the leading uniforms of many streams at once from
 :class:`StreamUniformBlock`, which evaluates Philox itself and so depends
 on no private bit-generator state.
 
-Agent simulations take the next draw of each of substreams ``0..n-1`` in
-one call with :meth:`RngStream.substream_uniforms`, which reads each
+Agent simulations take the next normal of each of substreams ``0..n-1`` in
+one call with :meth:`RngStream.substream_normals`, which reads each
 child's draws ahead in blocks of 64. Its results equal drawing from each
 ``substream(i)`` in turn, but the read-ahead advances the children, so
-draw from a child either through ``substream_uniforms`` or directly, never
+draw from a child either through ``substream_normals`` or directly, never
 both.
 
 Normal variates are produced by applying the inverse normal CDF to the
 uniform stream. The monotone coupling this induces (larger uniform, larger
 normal) is relied on by paired-seed tests elsewhere, so do not swap in a
-rejection or ziggurat sampler.
+rejection or ziggurat sampler. The inverse CDF is the package's port of
+Cephes ``ndtri`` (``_ndtr``), bit-equal to ``scipy.special.ndtri`` without
+importing scipy. Its tails take ``log`` from the C library through
+``math.log``, because numpy's SIMD ``log`` rounds a few inputs in 10^4
+differently, and each such input would change a written sample.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
+
+from ._ndtr import ndtri
 
 _UINT64_MASK = (1 << 64) - 1
 
 # Smallest uniform the inverse CDF is allowed to see; the bit generator
 # emits 0.0 with probability 2**-53 and ndtri(0) would be -inf.
 _U_FLOOR = 2.0 ** -53
-# Draws each substream reads ahead in RngStream.substream_uniforms.
+# Draws each substream reads ahead in RngStream.substream_normals.
 _READ_AHEAD = 64
 
 
@@ -52,7 +57,7 @@ class RngStream:
     The stream is stateful: each draw advances it. Never share one stream
     between concurrent workers; give each worker its own ``stream_id``.
 
-    ``substream_uniforms`` keeps up to 64 read-ahead draws per child, so a
+    ``substream_normals`` keeps up to 64 read-ahead draws per child, so a
     child used through it must not also be drawn from directly.
     """
 
@@ -68,7 +73,7 @@ class RngStream:
     def _start(self, bit_generator) -> None:
         self._gen = np.random.Generator(bit_generator)
         self._children: dict[int, "RngStream"] = {}
-        # substream_uniforms read-ahead: child i's next draw is
+        # substream_normals read-ahead: child i's next normal is
         # _ahead[i, _cursor[i]]; a cursor at _READ_AHEAD means none is left.
         self._ahead = np.empty((0, _READ_AHEAD))
         self._cursor = np.empty(0, dtype=int)
@@ -90,7 +95,7 @@ class RngStream:
 
     def normal(self) -> float:
         """Next standard normal draw, inverse-CDF transform of uniform()."""
-        return float(normals_from_uniforms(self._gen.random()))
+        return normals_from_uniforms(self._gen.random())
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal draws."""
@@ -121,13 +126,15 @@ class RngStream:
         self._children[child] = sub
         return sub
 
-    def substream_uniforms(self, n: int) -> np.ndarray:
-        """Next uniform of each of substreams ``0..n-1``.
+    def substream_normals(self, n: int) -> np.ndarray:
+        """Next normal of each of substreams ``0..n-1``.
 
-        Bytes equal ``[self.substream(i).uniform() for i in range(n)]``, but
-        each child is drawn from 64 uniforms at a time, so there is one
-        Python-level draw per child per 64 calls instead of one per call.
-        Each child keeps its own cursor, so calls may differ in ``n``.
+        Bytes equal ``normals_from_uniforms`` of
+        ``[self.substream(i).uniform() for i in range(n)]``, but each child
+        is drawn from 64 uniforms at a time and the refilled rows are turned
+        into normals together, so there is one Python-level draw per child
+        and one inverse-CDF call per 64 calls instead of one per call. Each
+        child keeps its own cursor, so calls may differ in ``n``.
         """
         n = int(n)
         if n < 0:
@@ -137,12 +144,15 @@ class RngStream:
             self._ahead = np.concatenate([self._ahead, np.empty((grow, _READ_AHEAD))])
             self._cursor = np.concatenate([self._cursor, np.full(grow, _READ_AHEAD)])
         cursor = self._cursor[:n]
-        for i in np.flatnonzero(cursor == _READ_AHEAD).tolist():
-            self._ahead[i] = self.substream(i).uniforms(_READ_AHEAD)
-            cursor[i] = 0
-        u = self._ahead[np.arange(n), cursor]
+        refill = np.flatnonzero(cursor == _READ_AHEAD)
+        if refill.size:
+            for i in refill.tolist():
+                self._ahead[i] = self.substream(i).uniforms(_READ_AHEAD)
+            self._ahead[refill] = normals_from_uniforms(self._ahead[refill])
+            cursor[refill] = 0
+        z = self._ahead[np.arange(n), cursor]
         cursor += 1
-        return u
+        return z
 
 
 # Philox4x64-10 constants, as in numpy's ``Philox`` bit generator.
@@ -222,5 +232,9 @@ class StreamUniformBlock:
 
 
 def normals_from_uniforms(u):
-    """Inverse-CDF normals from a uniform or an array; every normal drawn comes through here."""
-    return ndtri(np.maximum(u, _U_FLOOR))
+    """Inverse-CDF normals from a uniform or an array; every normal drawn comes through here.
+
+    A float stays a float (``ndtri``'s scalar path), so one draw costs no
+    numpy array round trip.
+    """
+    return ndtri(max(u, _U_FLOOR) if isinstance(u, float) else np.maximum(u, _U_FLOOR))

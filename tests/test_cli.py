@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import gbmtails
 from gbmtails.cli import COMMANDS, main
 from gbmtails.fitting import SampleCsvError, read_sample_csv
 from gbmtails.serialization import sha256_file
@@ -579,7 +581,31 @@ class TestConfigAndReplay:
         run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
                 "--out", "s.json")
         doc = json.loads((tmp_path / "s.json.manifest.json").read_text())
-        assert sorted(doc) == ["command", "outputs", "params", "seed", "version"]
+        assert sorted(doc) == ["command", "libraries", "outputs", "params", "seed", "version"]
+
+    def test_replay_warns_of_each_differing_library_and_decides_by_digests(self, capsys,
+                                                                          tmp_path):
+        out_path = tmp_path / "s.json"
+        run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                "--out", str(out_path))
+        manifest_path = tmp_path / "s.json.manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        assert doc["libraries"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__}
+        assert run_cli(capsys, "replay", str(manifest_path))[::2] == (0, "")
+        doc["libraries"]["numpy"] = "1.0.0"
+        manifest_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 0 and json.loads(out)["reproduced"] is True
+        assert err.count("warning:") == 1 and "numpy 1.0.0" in err
+        del doc["libraries"]
+        manifest_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 0 and err.count("warning:") == 2
+        doc["libraries"] = ["numpy"]
+        manifest_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 2 and out == "" and "libraries" in err
 
     def test_replay_reproduces_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"
@@ -663,3 +689,45 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+
+# Runs CLI argument lists in one interpreter in which any import of scipy
+# fails, and prints their exit codes as the last line of stdout.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from gbmtails.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:  # --version exits from argparse
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+
+def test_commands_run_and_write_the_same_bytes_without_scipy(capsys, tmp_path, monkeypatch):
+    """scipy is a test dependency only: no command imports it."""
+    simulate = ["simulate", "--mode", "killed", "--r", "0.05", "--alpha", "0.2",
+                "--nu", "0.01", "--n", "2000", "--seed", "11", "--out", "k.csv"]
+    commands = [
+        ["--version"],
+        ["solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01"],
+        simulate,
+        ["fit", "k.csv", "--out", "f.json"],
+        ["hia", "--agents", "50", "--steps", "20", "--out", "h.csv"],
+    ]
+    (tmp_path / "bare").mkdir()
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(gbmtails.__file__)))}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+                          cwd=tmp_path / "bare", env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands), proc.stderr
+    (tmp_path / "normal").mkdir()
+    monkeypatch.chdir(tmp_path / "normal")
+    for argv in commands[2:]:
+        assert run_cli(capsys, *argv)[0] == 0
+    for name in ("k.csv", "f.json", "h.csv"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()

@@ -7,6 +7,7 @@ from scipy.stats import spearmanr
 
 from gbmtails.dpareto import DoubleParetoDist, dpareto_quantile, solve_exponents_canonical
 from gbmtails.fitting import (
+    ALL_MODELS,
     DegenerateInputError,
     OneSidedDataError,
     SampleCsvError,
@@ -89,6 +90,13 @@ class TestHill:
         with pytest.raises(DegenerateInputError):
             hill_estimator(SampleSet(np.full(100, 3.0)), 10)
 
+    def test_distinct_values_with_equal_logs_are_degenerate(self):
+        # the denominator is a difference of equal logs, positive only by rounding
+        x = 1e300 * (1.0 + np.arange(1, 40) * 2.3e-16)
+        for k in (2, 10, 38):
+            with pytest.raises(DegenerateInputError, match="zero log-spacings"):
+                hill_estimator(SampleSet(x), k)
+
     def test_k_range(self):
         samples = SampleSet(np.arange(1.0, 11.0))
         for k in (0, 1, 10, 11):
@@ -117,6 +125,14 @@ class TestLognormal:
     def test_degenerate_zero_variance(self):
         mu, sigma, ll = fit_lognormal(SampleSet(np.full(5, 2.0)))
         assert mu == math.log(2.0) and sigma == 0.0 and math.isinf(ll)
+
+    def test_distinct_values_with_equal_logs_are_a_point_mass(self):
+        x = 1e300 * (1.0 + np.arange(1, 40) * 2.3e-16)
+        mu, sigma, ll = fit_lognormal(SampleSet(x))
+        assert mu == math.log(x[0]) and sigma == 0.0 and math.isinf(ll)
+        report = compare_models(SampleSet(x))
+        assert report.fits == () and report.preferred is None
+        assert sorted(report.errors) == sorted(ALL_MODELS)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):

@@ -73,7 +73,7 @@ def test_validation():
     with pytest.raises(ValueError):
         RngStream(0, 0).substream(-1)
     with pytest.raises(ValueError):
-        RngStream(0, 0).substream_uniforms(-1)
+        RngStream(0, 0).substream_normals(-1)
 
 
 def test_uniform_block_matches_per_stream_construction():
@@ -133,8 +133,8 @@ def test_uniform_block_stream_ids_stay_in_64_bits():
         block.take(-1, 1)
 
 
-def _per_child_draws(master: RngStream, n: int) -> np.ndarray:
-    return np.array([master.substream(i).uniform() for i in range(n)])
+def _per_child_normals(master: RngStream, n: int) -> np.ndarray:
+    return normals_from_uniforms(np.array([master.substream(i).uniform() for i in range(n)]))
 
 
 @pytest.mark.parametrize("calls", [1, 63, 64, 65, 130])
@@ -143,20 +143,20 @@ def test_substream_uniforms_equal_per_child_draws(calls, widths):
     fast, twin = RngStream(31, 4), RngStream(31, 4)
     for k in range(calls):
         n = widths[k % len(widths)]
-        got = fast.substream_uniforms(n)
-        assert got.tobytes() == _per_child_draws(twin, n).tobytes(), f"call {k}, n={n}"
+        got = fast.substream_normals(n)
+        assert got.tobytes() == _per_child_normals(twin, n).tobytes(), f"call {k}, n={n}"
 
 
 def test_substream_uniforms_after_memoized_child_and_empty_call():
     master, twin = RngStream(8, 0), RngStream(8, 0)
     master.substream(2)  # created but not drawn from
-    assert master.substream_uniforms(0).size == 0
+    assert master.substream_normals(0).size == 0
     for _ in range(70):
-        assert master.substream_uniforms(4).tobytes() == _per_child_draws(twin, 4).tobytes()
+        assert master.substream_normals(4).tobytes() == _per_child_normals(twin, 4).tobytes()
 
 
 def test_substream_uniforms_read_ahead_is_bounded():
     master = RngStream(1, 0)
     for n in (3, 10, 2, 10, 7):
-        master.substream_uniforms(n)
+        master.substream_normals(n)
     assert master._ahead.size == 64 * 10
