@@ -172,6 +172,7 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
     spearman_rho: float
     varied: str
+    clamped: int  # Population.clamped summed over every run
 
 
 def _fitted_m1(report: FitReport) -> float:
@@ -208,11 +209,13 @@ def run_sweep(
         raise ValueError("n_seeds must be >= 1")
 
     points = []
+    clamped = 0
     for pi, v in enumerate(values):
         params = replace(base, **{vary: v})
         alphas, m1s, prefs = [], [], []
         for rep in range(n_seeds):
-            _, eff_alpha, report = run_hia(params, master_seed + 100000 * pi + rep)
+            pop, eff_alpha, report = run_hia(params, master_seed + 100000 * pi + rep)
+            clamped += pop.clamped
             alphas.append(eff_alpha)
             m1s.append(_fitted_m1(report))
             if report.preferred is not None:
@@ -230,7 +233,7 @@ def run_sweep(
     varied_values = np.array(values)
     m1_means = np.array([p.m1_hat for p in points])
     rho = spearmanr(varied_values, m1_means)
-    return SweepResult(points=tuple(points), spearman_rho=rho, varied=vary)
+    return SweepResult(points=tuple(points), spearman_rho=rho, varied=vary, clamped=clamped)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

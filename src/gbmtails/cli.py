@@ -4,11 +4,13 @@ Every file-producing command writes its artifacts atomically and drops a
 run manifest (``<out>.manifest.json``) recording the command, the fully
 merged parameters, the master seed, the package version, the Python and
 numpy versions the output bytes rest on, and a sha256 digest per output
-file. ``gbmtails replay <manifest>`` re-executes the recorded run into a
-scratch directory and checks both the regenerated and the on-disk files
-against the recorded digests, resolving relative paths against the
-directory the run was made in; replay never writes the recorded files or
-the manifest. It warns on stderr for each library whose version differs
+file; ``hia`` and ``sweep`` manifests also record ``clamped``, the agent
+updates raised to the floor (summed over a sweep's runs). ``gbmtails
+replay <manifest>`` re-executes the recorded run into a scratch directory
+and checks both the regenerated and the on-disk files against the recorded
+digests, resolving relative paths against the directory the run was made
+in; replay never writes the recorded files or the manifest, and ignores
+``clamped``. It warns on stderr for each library whose version differs
 from the recorded one, but only the digests decide its exit code.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
@@ -32,7 +34,7 @@ import platform
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -81,6 +83,7 @@ class Artifact:
 class CommandResult:
     stdout_text: str | None
     artifacts: list
+    record: dict = field(default_factory=dict)  # extra manifest fields; replay ignores them
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,8 @@ def _exec_hia(p: dict) -> CommandResult:
     if p["out"]:
         samples = SampleSet(pop.sizes, source=f"hia(seed={p['seed']})")
         artifacts.append(Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, samples)))
-    return CommandResult(stdout_text=dumps(doc), artifacts=artifacts)
+    return CommandResult(stdout_text=dumps(doc), artifacts=artifacts,
+                         record={"clamped": pop.clamped})
 
 
 def _exec_sweep(p: dict) -> CommandResult:
@@ -199,7 +203,8 @@ def _exec_sweep(p: dict) -> CommandResult:
     text = sweep_csv_text(result)
     doc = {"varied": result.varied, "spearman_rho": result.spearman_rho}
     artifact = Artifact(p["out"], lambda fh: fh.write(text))
-    return CommandResult(stdout_text=dumps(doc), artifacts=[artifact])
+    return CommandResult(stdout_text=dumps(doc), artifacts=[artifact],
+                         record={"clamped": result.clamped})
 
 
 def _text_result(text: str, out) -> CommandResult:
@@ -355,6 +360,7 @@ def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
             "version": __version__,
             "libraries": _libraries(),
             "outputs": outputs,
+            **result.record,
         }
         if os.path.isabs(outputs[0]["path"]):
             # the manifest's own path no longer tells where the run was made

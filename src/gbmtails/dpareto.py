@@ -406,8 +406,7 @@ def exponent_curves(r: float, nu: float, alpha_grid) -> np.ndarray:
 
 
 def exponent_curves_csv_text(rows: np.ndarray) -> str:
-    rows = np.asarray(rows, dtype=float)
     fh = io.StringIO()
     fh.write(EXPONENT_CURVE_CSV_HEADER + "\n")
-    write_float_rows(fh, rows, ",".join(["%.17g"] * rows.shape[1]) + "\n")
+    write_float_rows(fh, rows)
     return fh.getvalue()

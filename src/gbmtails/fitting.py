@@ -131,7 +131,7 @@ def read_sample_csv(path, source: str | None = None) -> SampleSet:
 def write_sample_csv_fh(fh, samples: SampleSet) -> None:
     """Write a SampleSet in the one-column ``value`` schema, one '%.17g' row per value."""
     fh.write(SAMPLE_CSV_HEADER + "\n")
-    write_float_rows(fh, samples.values, "%.17g\n")
+    write_float_rows(fh, samples.values)
 
 
 def write_sample_csv(path, samples: SampleSet) -> None:

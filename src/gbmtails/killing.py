@@ -133,7 +133,7 @@ def write_batch_csv_fh(fh, batch: np.ndarray) -> None:
     if batch.ndim != 2 or batch.shape[1] != 2:
         raise ValueError("batch must have shape (n, 2)")
     fh.write(BATCH_CSV_HEADER + "\n")
-    write_float_rows(fh, batch, "%.17g,%.17g\n")
+    write_float_rows(fh, batch)
 
 
 def write_batch_csv(path, batch: np.ndarray) -> None:

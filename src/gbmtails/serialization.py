@@ -3,7 +3,9 @@
 JSON output uses sorted keys and fixed 17-significant-digit float
 rendering so that identical inputs produce identical bytes; file writes go
 through a temporary file plus atomic rename so failed runs never leave
-partial artifacts behind.
+partial artifacts behind. CSV float rows come from write_float_rows, whose
+exact integer kernel gives '%.17g''s bytes for 1e-4 <= |x| < 2**51; a row
+with any other field is formatted with '%'.
 """
 
 from __future__ import annotations
@@ -74,20 +76,138 @@ def dumps(obj) -> str:
     return canonical_json(obj) + "\n"
 
 
-# Rows rendered per ``%`` call by write_float_rows.
-_FORMAT_ROWS = 4096
+# Rows per chunk of write_float_rows; bounds its temporaries.
+_FORMAT_ROWS = 16384
+
+# The kernel takes x with 1e-4 <= |x| < 1e16, where '%.17g' writes fixed
+# notation. With d = floor(log10|x|) and k = 16 - d, N = round(|x| * 10**k)
+# has 17 digits, and the text is N's digits with the point after digit
+# d + 1 (d >= 0) or "0." and -d - 1 zeros before them (d < 0), trailing
+# zeros and a bare point dropped. For |x| = m * 2**(e - 53) (m a 53-bit
+# integer), N = round(m * 5**k / 2**s) with s = 53 - e - k, exact in 128
+# bits while 5**k < 2**63 (k <= 27) and 1 <= s <= 63; s < 1 from 2**51 on.
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_LOW32 = 0xFFFFFFFF
+_ONES = 0x0101010101010101
+_HEAD = int.from_bytes(b"\0\0" b"0.000" b"\0", "little")
 
 
-def write_float_rows(fh, rows: np.ndarray, row_format: str) -> None:
-    """Write ``row_format % tuple(row)`` for every row of a float array.
+def _masks(d: int) -> list:
+    """Byte masks of a field's first four words (see _field_words) for d."""
+    head = (0, 1, 7) if d >= 0 else (0, 1, 2, 3, *range(4, 3 - d), 7)
+    bits = 8 * max(d, 0)  # the integer digits after the leading one
+    return [sum(0xFF << 8 * b for b in head), (1 << min(bits, 64)) - 1,
+            (1 << max(bits - 64, 0)) - 1, ord(".") * (d >= 0)]
 
-    ``rows`` is 1-d (one field per row) or 2-d. Rows are formatted a chunk
-    at a time with one ``%`` call, which gives the same bytes as formatting
-    them one by one.
+
+_MASKS = np.array([_masks(d) for d in range(-4, 16)], dtype=np.uint64)
+
+
+def _swar8(v):
+    """The 8 decimal digits of v < 10**8 as byte lanes, most significant in
+    the lowest byte."""
+    hi = v // 10000
+    w = hi | ((v - hi * 10000) << 32)
+    t = ((w * 5243) >> 19) & 0x0000007F0000007F  # 32-bit lanes // 100
+    w = t | ((w - t * 100) << 16)
+    t = ((w * 103) >> 10) & 0x000F000F000F000F  # 16-bit lanes // 10
+    return t | ((w - t * 10) << 8)
+
+
+def _through_last_nonzero(z):
+    """0xFF on each byte of z (bytes <= 9) up to its last nonzero one."""
+    f = (z + 0x7F * _ONES) & (0x80 * _ONES)
+    for shift in (8, 16, 32):  # each flag spreads to every lower byte
+        f |= f >> shift
+    return (f >> 7) * 0xFF
+
+
+def _scaled(m, e, k):
+    """floor(|x| * 10**k) for |x| = m * 2**(e - 53), whether it rounds up
+    (half to even), and whether the exact path applies (1 <= s <= 63)."""
+    s = 53 - e - k
+    fits = (s >= 1) & (s <= 63)
+    s = np.where(fits, s, 1).astype(np.uint64)
+    p = _POW5[k]
+    # m * p as two 64-bit limbs from 32-bit halves, then shifted right by s
+    ml, mh, pl, ph = m & _LOW32, m >> 32, p & _LOW32, p >> 32
+    ll, lh, hl = ml * pl, ml * ph, mh * pl
+    mid = (ll >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    lo = (ll & _LOW32) | (mid << 32)
+    hi = mh * ph + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    t = (hi << (64 - s)) | (lo >> s)
+    rem, half = lo & ((1 << s) - 1), 1 << (s - 1)
+    return t, (rem > half) | ((rem == half) & ((t & 1) == 1)), fits
+
+
+def _field_words(x: np.ndarray):
+    """The '%.17g' text of each field of a float64 array as 6 little-endian
+    words with NUL filler, and where the kernel took the field.
+
+    The words hold [separator slot, sign, "0.000", leading digit], the
+    other 16 digits masked to the integer part, ".", and the same 16
+    digits masked to the fraction.
     """
+    ax = np.abs(x)
+    ok = (ax >= 1e-4) & (ax < 1e16)
+    ax[~ok] = 1.0
+    f, e = np.frexp(ax)
+    m = (f * 2.0**53).astype(np.uint64)
+    k = 16 - np.floor(np.log10(ax)).astype(np.int64)
+    t, up, fits = _scaled(m, e, k)
+    # np.log10 only estimates d: where t has 16 or 18 digits, move k by one
+    step = (t < 10**16).astype(np.int64) - (t >= 10**17)
+    redo = (step != 0) & fits
+    if redo.any():
+        k[redo] += step[redo]
+        t[redo], up[redo], fits[redo] = _scaled(m[redo], e[redo], k[redo])
+    n = t + up
+    # N = 10**17 (a carry) occurs for no float in range: the float below each
+    # power of ten from 1e-3 to 1e16 keeps 17 nines. '%' would take one.
+    ok &= fits & (t >= 10**16) & (n < 10**17)
+    lead = n // 10**16
+    rest = n - lead * 10**16
+    z1, z2 = _swar8(rest // 10**8), _swar8(rest % 10**8)
+    tail2 = _through_last_nonzero(z2)
+    tail1 = _through_last_nonzero(z1) | (tail2 & 0xFF) * _ONES
+    w1, w2 = z1 | 0x30 * _ONES, z2 | 0x30 * _ONES
+    masks = _MASKS[np.where(ok, 20 - k, 0)]
+    head = _HEAD | (np.signbit(x).astype(np.uint64) * ord("-") << 8) | ((lead | 0x30) << 56)
+    frac1, frac2 = w1 & ~masks[..., 1] & tail1, w2 & ~masks[..., 2] & tail2
+    dot = masks[..., 3] * ((frac1 | frac2) != 0)
+    return (head & masks[..., 0], w1 & masks[..., 1], w2 & masks[..., 2], dot, frac1, frac2), ok
+
+
+def write_float_rows(fh, rows: np.ndarray) -> None:
+    """Write each row of a float array as comma-joined '%.17g' fields and a newline.
+
+    ``rows`` is 1-d (one field per row) or 2-d, in any byte order or memory
+    layout. Fields with 1e-4 <= |x| < 2**51 go through an exact integer
+    kernel (_field_words) that gives '%.17g''s bytes. A row with any other
+    field (0, inf, nan, |x| < 1e-4, |x| >= 2**51) is formatted with ``%``
+    and spliced in. Chunks of _FORMAT_ROWS rows bound the memory.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     for lo in range(0, len(rows), _FORMAT_ROWS):
         chunk = rows[lo : lo + _FORMAT_ROWS]
-        fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
+        words, ok = _field_words(chunk)
+        out = np.empty((len(chunk), 6 * chunk.shape[1] + 1), dtype="<u8")
+        fields = out[:, :-1].reshape(len(chunk), -1, 6)
+        for i, w in enumerate(words):
+            fields[..., i] = w
+        fields[:, 1:, 0] |= ord(",")
+        out[:, -1] = ord("\n")
+        text, row_bytes = out.tobytes(), out[0].nbytes
+        bad = ~ok.all(axis=1)
+        edges = [0, *(np.flatnonzero(bad[1:] != bad[:-1]) + 1).tolist(), len(chunk)]
+        for a, b in zip(edges[:-1], edges[1:]):
+            if bad[a]:
+                fh.write(row_format * (b - a) % tuple(chunk[a:b].ravel().tolist()))
+            else:
+                fh.write(text[a * row_bytes : b * row_bytes].translate(None, b"\0").decode("ascii"))
 
 
 # Flags for the temp file: a new file only, binary on platforms that

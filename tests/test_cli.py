@@ -4,11 +4,13 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gbmtails
+from gbmtails.agents import HiaParams, run_hia
 from gbmtails.cli import COMMANDS, main
 from gbmtails.fitting import SampleCsvError, read_sample_csv
 from gbmtails.serialization import sha256_file
@@ -287,6 +289,36 @@ class TestHiaAndSweep:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0].startswith("noise_std,coupling,")
         assert len(lines) == 4
+
+
+    @pytest.mark.parametrize("command", [
+        ["hia", "--agents", "40", "--steps", "30"],
+        ["sweep", "--vary", "coupling_out", "--min", "0.1", "--max", "0.3", "--points", "2",
+         "--seeds", "2", "--agents", "40", "--steps", "30"],
+    ], ids=["hia", "sweep"])
+    def test_manifest_records_floor_clamps_and_replay_ignores_them(self, capsys, tmp_path,
+                                                                    command):
+        out_path = tmp_path / "out.csv"
+        args = [*command, "--noise-std", "1.0", "--floor", "0.2", "--seed", "19"]
+        code, out, _ = run_cli(capsys, *args, "--out", str(out_path))
+        assert code == 0
+        manifest_path = tmp_path / "out.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        hia = HiaParams(n_agents=40, noise_std=1.0, coupling_in=0.1, coupling_out=0.1,
+                        floor=0.2, steps=30)
+        if command[0] == "hia":
+            expected = run_hia(hia, 19)[0].clamped
+        else:
+            expected = sum(run_hia(replace(hia, coupling_out=v), 19 + 100000 * i + rep)[0].clamped
+                           for i, v in enumerate([0.1, 0.3]) for rep in range(2))
+        assert manifest["clamped"] == expected > 0
+        # stdout and output bytes are those of a run without the field
+        assert "clamped" not in out and "clamped" not in out_path.read_text()
+        code, out, _ = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 0 and json.loads(out)["reproduced"] is True
+        manifest["clamped"] = expected + 1  # not an output: the digests decide
+        manifest_path.write_text(json.dumps(manifest))
+        assert run_cli(capsys, "replay", str(manifest_path))[0] == 0
 
 
 class TestSeedRange:
