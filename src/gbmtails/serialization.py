@@ -178,6 +178,11 @@ def _field_words(x: np.ndarray):
     return (head & masks[..., 0], w1 & masks[..., 1], w2 & masks[..., 2], dot, frac1, frac2), ok
 
 
+def _percent_rows(rows: np.ndarray) -> str:
+    """The rows the kernel cannot take, formatted with ``%``."""
+    return (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+
+
 def write_float_rows(fh, rows: np.ndarray) -> None:
     """Write each row of a float array as comma-joined '%.17g' fields and a newline.
 
@@ -190,7 +195,6 @@ def write_float_rows(fh, rows: np.ndarray) -> None:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[:, None]
-    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     for lo in range(0, len(rows), _FORMAT_ROWS):
         chunk = rows[lo : lo + _FORMAT_ROWS]
         words, ok = _field_words(chunk)
@@ -205,7 +209,7 @@ def write_float_rows(fh, rows: np.ndarray) -> None:
         edges = [0, *(np.flatnonzero(bad[1:] != bad[:-1]) + 1).tolist(), len(chunk)]
         for a, b in zip(edges[:-1], edges[1:]):
             if bad[a]:
-                fh.write(row_format * (b - a) % tuple(chunk[a:b].ravel().tolist()))
+                fh.write(_percent_rows(chunk[a:b]))
             else:
                 fh.write(text[a * row_bytes : b * row_bytes].translate(None, b"\0").decode("ascii"))
 

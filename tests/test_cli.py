@@ -290,7 +290,6 @@ class TestHiaAndSweep:
         assert lines[0].startswith("noise_std,coupling,")
         assert len(lines) == 4
 
-
     @pytest.mark.parametrize("command", [
         ["hia", "--agents", "40", "--steps", "30"],
         ["sweep", "--vary", "coupling_out", "--min", "0.1", "--max", "0.3", "--points", "2",
