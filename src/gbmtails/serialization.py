@@ -141,8 +141,9 @@ def _scaled(m, e, k):
 
 
 def _field_words(x: np.ndarray):
-    """The '%.17g' text of each field of a float64 array as 6 little-endian
-    words with NUL filler, and where the kernel took the field.
+    """The '%.17g' text of each field of a float64 array as 6 uint64 words
+    with NUL filler, first character in the lowest byte, and where the
+    kernel took the field.
 
     The words hold [separator slot, sign, "0.000", leading digit], the
     other 16 digits masked to the integer part, ".", and the same 16
