@@ -22,44 +22,66 @@ and a replayed manifest's ``params`` are all checked against it: an unknown
 key, a missing required one, a bool, a value its option's type would change
 (``2.7`` for an integer, ``"1"`` for a number), one outside the option's
 choices, or ``null`` for an option with a default exits 2 naming the key.
+A command imports only the modules its ``COMMANDS`` entry names.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import platform
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .agents import HiaParams, run_hia, run_sweep, sweep_csv_text
-from .dpareto import (
-    CURVE_EXCLUSION_BAND,
-    exponent_curves,
-    exponent_curves_csv_text,
-    limit_csv_text,
-    limit_table,
-    classify_regime,
-    solve_exponents_canonical,
-)
-from .fitting import (
-    ALL_MODELS,
-    SampleSet,
-    compare_models,
-    read_sample_csv,
-    write_sample_csv_fh,
-)
-from .killing import KillSchedule, killed_rows_range, sample_killed_batch, write_batch_csv_fh
-from .sde import GbmParams, sample_terminal_levels
-from .serialization import atomic_write, atomic_write_text, dumps, sha256_file
+from .serialization import atomic_write, atomic_write_text, dumps, sha256_file, write_sample_csv_fh
+
+# The names executors call from modules that not every command needs, by
+# module. A command's COMMANDS entry names the modules it runs; ``_load`` binds
+# their names into this module's globals when the command is dispatched.
+_LAZY = {
+    ".agents": ("HiaParams", "run_hia", "run_sweep", "sweep_csv_text"),
+    ".dpareto": ("CURVE_EXCLUSION_BAND", "classify_regime", "exponent_curves",
+                 "exponent_curves_csv_text", "limit_csv_text", "limit_table",
+                 "solve_exponents_canonical"),
+    ".fitting": ("compare_models", "read_sample_csv"),
+    ".killing": ("KillSchedule", "killed_rows_range", "sample_killed_batch", "write_batch_csv_fh"),
+    ".sde": ("GbmParams", "sample_terminal_levels"),
+    "concurrent.futures.process": ("ProcessPoolExecutor",),
+}
+# fitting.ALL_MODELS, spelled out so that building the parser does not import
+# fitting; a test keeps the two equal.
+_MODELS = ("double_pareto", "lognormal", "pareto_tail")
+
+
+def _load(modules) -> None:
+    """Import ``modules`` and bind their ``_LAZY`` names here, keeping a name already bound.
+
+    Executors call these names through this module's globals, so a wrapper
+    set on ``gbmtails.cli`` from outside stays what runs.
+    """
+    for module in modules:
+        owner = importlib.import_module(module, __package__)
+        for name in _LAZY[module]:
+            if name not in globals():
+                globals()[name] = getattr(owner, name)
+
+
+def __getattr__(name: str):
+    """Resolve a ``_LAZY`` name looked up from outside before any command ran it (PEP 562)."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _load((module,))
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -149,8 +171,8 @@ def _exec_simulate(p: dict) -> CommandResult:
     if p[unused] is not None:
         raise ValueError(f"simulate --mode {mode} does not take --{unused}")
     if mode == "gbm":
-        samples = SampleSet(sample_terminal_levels(params, p["t"], p["n"], p["seed"]))
-        artifact = Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, samples))
+        levels = sample_terminal_levels(params, p["t"], p["n"], p["seed"])  # finite, > 0
+        artifact = Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, levels))
     else:
         schedule = KillSchedule(nu=p["nu"])
         batch = _killed_batch_parallel(params, schedule, p["n"], p["seed"], p["workers"])
@@ -162,6 +184,7 @@ def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
     """Worker-sharded batch; byte-identical to the sequential path."""
     if workers <= 1 or n < 4 * workers:
         return sample_killed_batch(params, schedule, n, seed, workers=workers)
+    _load(("concurrent.futures.process",))  # only a sharded batch pays for the pool
     size = -(-n // workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
@@ -173,8 +196,16 @@ def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
 
 
 def _exec_fit(p: dict) -> CommandResult:
+    models = _MODELS if p["models"] is None else tuple(p["models"].split(","))
+    if not set(models) <= set(_MODELS) or len(set(models)) < len(models):
+        raise ValueError(f"--models must name distinct models from {','.join(_MODELS)}, "
+                         f"got {p['models']!r}")
+    if p["hill_k"] is not None:
+        if "pareto_tail" not in models:
+            raise ValueError("--hill-k applies only to the pareto_tail model")
+        if p["hill_k"] < 2:  # k < n depends on the data: a pareto_tail error
+            raise ValueError(f"--hill-k must be >= 2, got {p['hill_k']}")
     samples = read_sample_csv(p["input"])
-    models = tuple(p["models"].split(",")) if p["models"] else ALL_MODELS
     report = compare_models(samples, models=models, hill_k=p["hill_k"])
     return _text_result(dumps(report.to_json_dict()), p["out"])
 
@@ -188,9 +219,8 @@ def _exec_hia(p: dict) -> CommandResult:
     pop, effective_alpha, report = run_hia(_hia_params(p), p["seed"])
     doc = {"effective_alpha": effective_alpha, "fit": report.to_json_dict()}
     artifacts = []
-    if p["out"]:
-        samples = SampleSet(pop.sizes, source=f"hia(seed={p['seed']})")
-        artifacts.append(Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, samples)))
+    if p["out"]:  # run_hia's fit has checked the sizes
+        artifacts.append(Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, pop.sizes)))
     return CommandResult(stdout_text=dumps(doc), artifacts=artifacts,
                          record={"clamped": pop.clamped})
 
@@ -228,6 +258,7 @@ class Option:
 @dataclass(frozen=True)
 class Command:
     run: Callable  # checked params dict -> CommandResult
+    modules: tuple  # the _LAZY modules ``run`` calls into
     help: str
     options: dict  # name -> Option; the flag is --name with "_" as "-"
 
@@ -249,22 +280,25 @@ _AGENT_OPTIONS = {
 }
 
 COMMANDS = {
-    "solve": Command(_exec_solve, "tail exponents for (r, alpha, nu)", {
+    "solve": Command(_exec_solve, (".dpareto",), "tail exponents for (r, alpha, nu)", {
         "r": _R, "alpha": _ALPHA, "nu": _NU,
         "convention": Option(str, "both", "exponents to report", ("both", "canonical", "signed")),
         "out": _OUT,
     }),
-    "regime": Command(_exec_regime, "critical volatility and regime label",
+    "regime": Command(_exec_regime, (".dpareto",), "critical volatility and regime label",
                       {"r": _R, "alpha": _ALPHA, "out": _OUT}),
-    "limits": Command(_exec_limits, "extreme-parameter checks of the closed-form exponents (CSV)",
+    "limits": Command(_exec_limits, (".dpareto",),
+                      "extreme-parameter checks of the closed-form exponents (CSV)",
                       {"r": _R, "alpha": _ALPHA, "nu": _NU, "out": _OUT}),
-    "figure1": Command(_exec_figure1, "exponents as a function of volatility (CSV for plotting)", {
+    "figure1": Command(_exec_figure1, (".dpareto",),
+                       "exponents as a function of volatility (CSV for plotting)", {
         "r": _R, "nu": _NU, "out": _OUT,
         "alpha_min": Option(float, help="smallest volatility on the grid"),
         "alpha_max": Option(float, help="largest volatility on the grid"),
         "points": Option(int, 100, "grid points, >= 2"),
     }),
-    "simulate": Command(_exec_simulate, "sample GBM terminal values or killed states to CSV", {
+    "simulate": Command(_exec_simulate, (".killing", ".sde"),
+                        "sample GBM terminal values or killed states to CSV", {
         "mode": Option(str, help="gbm: value at --t; killed: state at an Exp(--nu) time",
                        choices=("gbm", "killed")),
         "x0": Option(float, 1.0, "initial level"),
@@ -276,16 +310,18 @@ COMMANDS = {
         "workers": Option(int, 1, "shard the batch; results are independent of this"),
         "out": Option(str, help="sample CSV path (with manifest)"),
     }),
-    "fit": Command(_exec_fit, "fit and compare heavy-tail models on a sample CSV", {
+    "fit": Command(_exec_fit, (".fitting",),
+                   "fit and compare heavy-tail models on a sample CSV", {
         "input": Option(str, help="sample CSV (value or kill_time,state)"),
-        "models": Option(str, None, "comma-separated subset of " + ",".join(ALL_MODELS)),
+        "models": Option(str, None, "comma-separated subset of " + ",".join(_MODELS)),
         "hill_k": Option(int, None, "override the upper-tail order-statistic count"),
         "out": _OUT,
     }),
-    "hia": Command(_exec_hia, "run the interacting-agents simulation", {
+    "hia": Command(_exec_hia, (".agents",), "run the interacting-agents simulation", {
         **_AGENT_OPTIONS, "out": Option(str, None, "write final sizes as a sample CSV"),
     }),
-    "sweep": Command(_exec_sweep, "sweep one agent parameter and track the fitted exponent", {
+    "sweep": Command(_exec_sweep, (".agents",),
+                     "sweep one agent parameter and track the fitted exponent", {
         **_AGENT_OPTIONS,
         "vary": Option(str, "noise_std", "the agent option swept",
                        ("noise_std", "coupling_in", "coupling_out")),
@@ -378,6 +414,13 @@ def _manifest_path(out_path: str) -> str:
     return str(out_path) + ".manifest.json"
 
 
+def _dispatch(command: str, params: dict) -> CommandResult:
+    """Import the command's modules, then run it."""
+    spec = COMMANDS[command]
+    _load(spec.modules)
+    return spec.run(params)
+
+
 def _run_command(command: str, args: argparse.Namespace) -> int:
     spec = COMMANDS[command]
     config = _read_json_object(args.config, "config file") if args.config else {}
@@ -391,7 +434,7 @@ def _run_command(command: str, args: argparse.Namespace) -> int:
         parent = os.path.dirname(os.path.abspath(params["out"]))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
-    result = spec.run(params)
+    result = _dispatch(command, params)
     outputs = _write_artifacts(command, params, result)
     if result.stdout_text is not None:
         sys.stdout.write(result.stdout_text)
@@ -440,7 +483,7 @@ def _run_replay(args: argparse.Namespace) -> int:
     home = os.getcwd()
     os.chdir(run_dir)
     try:
-        result = COMMANDS[command].run(params)
+        result = _dispatch(command, params)
         # Regenerate into a scratch directory: replay only checks, it never
         # writes the recorded paths or the manifest.
         produced = {}

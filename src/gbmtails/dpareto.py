@@ -33,12 +33,15 @@ import enum
 import io
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .killing import KillSchedule
-from .sde import GbmParams
 from .serialization import write_float_rows
+
+if TYPE_CHECKING:  # annotations only: solving exponents needs no sampler
+    from .killing import KillSchedule
+    from .sde import GbmParams
 
 # Fixed proxy extremes used by limit_table, chosen once so reports are
 # reproducible without user-tuned epsilons.

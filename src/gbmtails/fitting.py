@@ -21,8 +21,7 @@ import numpy as np
 
 from ._ndtr import ndtr
 from .dpareto import DoubleParetoDist, dpareto_cdf
-from .killing import BATCH_CSV_HEADER
-from .serialization import atomic_write, write_float_rows
+from .serialization import BATCH_CSV_HEADER, SAMPLE_CSV_HEADER, atomic_write, write_sample_csv_fh
 
 MODEL_DOUBLE_PARETO = "double_pareto"
 MODEL_LOGNORMAL = "lognormal"
@@ -66,8 +65,6 @@ class SampleSet:
     def __len__(self) -> int:
         return int(self.values.size)
 
-
-SAMPLE_CSV_HEADER = "value"
 
 # Header of each sample CSV schema -> (field holding the value, what it is
 # called in error messages). None means the whole line; not field 0, because
@@ -128,14 +125,9 @@ def read_sample_csv(path, source: str | None = None) -> SampleSet:
     return SampleSet(np.array(rows), source=source)
 
 
-def write_sample_csv_fh(fh, samples: SampleSet) -> None:
-    """Write a SampleSet in the one-column ``value`` schema, one '%.17g' row per value."""
-    fh.write(SAMPLE_CSV_HEADER + "\n")
-    write_float_rows(fh, samples.values)
-
-
 def write_sample_csv(path, samples: SampleSet) -> None:
-    atomic_write(path, lambda fh: write_sample_csv_fh(fh, samples))
+    """Write a SampleSet in the one-column ``value`` schema, one '%.17g' row per value."""
+    atomic_write(path, lambda fh: write_sample_csv_fh(fh, samples.values))
 
 
 # ---------------------------------------------------------------------------

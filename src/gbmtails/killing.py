@@ -18,7 +18,7 @@ import numpy as np
 
 from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 from .sde import GbmParams, levels_from_logs, terminal_log_from_normals
-from .serialization import atomic_write, write_float_rows
+from .serialization import BATCH_CSV_HEADER, atomic_write, write_float_rows
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,6 @@ def sample_killed_batch(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return killed_rows_range(params, schedule, master_seed, 0, n)
-
-
-BATCH_CSV_HEADER = "kill_time,state"
 
 
 def write_batch_csv_fh(fh, batch: np.ndarray) -> None:

@@ -215,6 +215,17 @@ def write_float_rows(fh, rows: np.ndarray) -> None:
                 fh.write(text[a * row_bytes : b * row_bytes].translate(None, b"\0").decode("ascii"))
 
 
+# Headers of the two sample CSV schemas: one value per row, and a killed batch.
+SAMPLE_CSV_HEADER = "value"
+BATCH_CSV_HEADER = "kill_time,state"
+
+
+def write_sample_csv_fh(fh, values: np.ndarray) -> None:
+    """Write 1-d ``values`` in the one-column ``value`` schema, one '%.17g' row each."""
+    fh.write(SAMPLE_CSV_HEADER + "\n")
+    write_float_rows(fh, values)
+
+
 # Flags for the temp file: a new file only, binary on platforms that
 # translate newlines at the descriptor level.
 _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)

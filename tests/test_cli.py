@@ -261,6 +261,51 @@ class TestFit:
         tail = doc["models"][1]
         assert tail["parameters"]["hill_k"] == 150
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--hill-k", "-3"), "--hill-k must be >= 2"),
+        (("--hill-k", "1"), "--hill-k must be >= 2"),
+        (("--hill-k", "5", "--models", "lognormal"), "--hill-k applies only to"),
+        (("--models", ""), "--models must name"),
+        (("--models", "lognormal,lognormal"), "--models must name"),
+        (("--models", "lognormal,"), "--models must name"),
+        (("--models", "weibull"), "--models must name"),
+    ])
+    def test_fit_rejects_options_it_cannot_honour_before_reading(self, capsys, tmp_path,
+                                                                  flags, named):
+        # the input does not exist: an option error must come first, as exit 2
+        code, out, err = run_cli(capsys, "fit", str(tmp_path / "missing.csv"), *flags)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_fit_hill_k_not_below_n_stays_a_per_model_error(self, capsys, tmp_path):
+        csv = tmp_path / "v.csv"
+        csv.write_text("value\n" + "".join(f"{1.5 ** i}\n" for i in range(20)))
+        code, out, _ = run_cli(capsys, "fit", str(csv), "--hill-k", "20")
+        assert code == 0
+        doc = json.loads(out)
+        assert "2 <= k < n" in doc["errors"]["pareto_tail"]
+        assert [m["model"] for m in doc["models"]] == ["double_pareto", "lognormal"]
+
+    def test_fit_replay_rejects_recorded_options_it_cannot_honour(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "v.csv").write_text("value\n" + "".join(f"{1.5 ** i}\n" for i in range(20)))
+        assert run_cli(capsys, "fit", "v.csv", "--out", "f.json")[0] == 0
+        manifest = tmp_path / "f.json.manifest.json"
+        doc = json.loads(manifest.read_text())
+        for params, named in [({"models": ""}, "--models"), ({"hill_k": -3}, "--hill-k")]:
+            manifest.write_text(json.dumps({**doc, "params": {**doc["params"], **params}}))
+            code, out, err = run_cli(capsys, "replay", str(manifest))
+            assert code == 2
+            assert out == ""
+            assert named in err
+
+    def test_help_model_names_are_fittings(self):
+        from gbmtails import cli, fitting
+
+        assert cli._MODELS == fitting.ALL_MODELS
+
 
 class TestHiaAndSweep:
     def test_hia_json_and_artifact(self, capsys, tmp_path):
