@@ -183,7 +183,7 @@ def _exec_simulate(p: dict) -> CommandResult:
 def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
     """Worker-sharded batch; byte-identical to the sequential path."""
     if workers <= 1 or n < 4 * workers:
-        return sample_killed_batch(params, schedule, n, seed, workers=workers)
+        return sample_killed_batch(params, schedule, n, seed)
     _load(("concurrent.futures.process",))  # only a sharded batch pays for the pool
     size = -(-n // workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:

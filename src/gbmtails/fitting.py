@@ -7,15 +7,17 @@ a KS statistic against the fitted CDF. The KS statistic is reported
 without a p-value on purpose: parameters were estimated from the same
 data, which invalidates the standard tables.
 
-All estimators sort their input internally, so results are byte-identical
-under permutation of the sample.
+Each sample is sorted and logged once, by ``SampleSet``; every estimator
+reads those arrays, so results are byte-identical under permutation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,15 +57,26 @@ class SampleSet:
     source: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float).view()
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
         if np.any(~np.isfinite(values)) or np.any(values <= 0):
             raise ValueError("values must be finite and strictly positive")
+        values.flags.writeable = False  # a view, so the caches below cannot go stale
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+    @cached_property
+    def sorted(self) -> np.ndarray:
+        """The values in ascending order, computed on first use and kept."""
+        return np.sort(self.values)
+
+    @cached_property
+    def logs(self) -> np.ndarray:
+        """``np.log`` of ``sorted``, elementwise, computed on first use and kept."""
+        return np.log(self.sorted)
 
 
 # Header of each sample CSV schema -> (field holding the value, what it is
@@ -146,12 +159,14 @@ def hill_estimator(samples: SampleSet, k: int) -> float:
     k / sum_{i=1..k} ln(x_(n-i+1) / x_(n-k)): the reciprocal mean log
     excess over the (k+1)-th largest value.
     """
-    x = np.sort(samples.values)
+    x = samples.sorted
     n = x.size
+    if not isinstance(k, numbers.Integral):  # int(2.9) would fit k = 2
+        raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if not (2 <= k < n):
         raise ValueError(f"k must satisfy 2 <= k < n = {n}, got {k}")
-    top = np.log(x[n - k :])
+    top = samples.logs[n - k :]
     threshold = math.log(x[n - k - 1])
     denom = float(np.sum(top) - k * threshold)
     # equal logs can leave a positive denominator made of rounding alone
@@ -169,11 +184,10 @@ def fit_lognormal(samples: SampleSet) -> tuple[float, float, float]:
     sigma_hat marks a degenerate point-mass fit and is flagged with an
     infinite log-likelihood.
     """
-    x = np.sort(samples.values)
+    x, logs = samples.sorted, samples.logs
     n = x.size
     if n < 2:
         raise ValueError("lognormal fit needs n >= 2")
-    logs = np.log(x)
     mu = float(np.mean(logs))
     if logs[0] == logs[-1]:  # point mass in float64 logs; rounding can hide it in the moments
         return math.log(x[0]), 0.0, math.inf
@@ -212,13 +226,12 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
     when distinct values share a float64 log, leaving a candidate no
     log distance on one side.
     """
-    x = np.sort(samples.values)
+    x, logs = samples.sorted, samples.logs
     n = x.size
     if n < 3:
         raise ValueError("double-Pareto fit needs n >= 3")
     if x[0] == x[-1]:
         raise ValueError("double-Pareto fit needs at least 2 distinct values")
-    logs = np.log(x)
     prefix = np.cumsum(logs)
     total = prefix[-1]
 
@@ -352,8 +365,9 @@ class FitReport:
         return doc
 
 
-def _ks_statistic(sorted_x: np.ndarray, model_cdf: np.ndarray) -> float:
-    n = sorted_x.size
+def _ks_statistic(model_cdf: np.ndarray) -> float:
+    """KS distance of the model CDF, evaluated at the sorted sample, from the ECDF."""
+    n = model_cdf.size
     grid = np.arange(1, n + 1, dtype=float) / n
     d_plus = float(np.max(grid - model_cdf))
     d_minus = float(np.max(model_cdf - (grid - 1.0 / n)))
@@ -377,7 +391,6 @@ def compare_models(
     unknown = set(models) - set(ALL_MODELS)
     if unknown:
         raise ValueError(f"unknown models: {sorted(unknown)}")
-    x = np.sort(samples.values)
     fits: list[ModelFit] = []
     errors: dict[str, str] = {}
 
@@ -385,7 +398,7 @@ def compare_models(
         if model not in models:
             continue
         try:
-            fits.append(_fit_one(model, samples, x, hill_k))
+            fits.append(_fit_one(model, samples, hill_k))
         except (ValueError, ArithmeticError) as exc:
             errors[model] = str(exc)
 
@@ -397,29 +410,30 @@ def compare_models(
     )
 
 
-def _fit_one(model: str, samples: SampleSet, x: np.ndarray, hill_k) -> ModelFit:
+def _fit_one(model: str, samples: SampleSet, hill_k) -> ModelFit:
+    x = samples.sorted
     n = x.size
     if model == MODEL_DOUBLE_PARETO:
         center, m1, m2, ll = fit_dpareto_mle(samples)
         dist = DoubleParetoDist(center=center, m1=m1, m2=m2)
-        ks = _ks_statistic(x, dpareto_cdf(dist, x))
+        ks = _ks_statistic(dpareto_cdf(dist, x))
         params = {"center": center, "m1": m1, "m2": m2}
     elif model == MODEL_LOGNORMAL:
         mu, sigma, ll = fit_lognormal(samples)
         if sigma == 0.0:
             raise DegenerateInputError("zero log-variance: point-mass lognormal fit")
-        ks = _ks_statistic(x, ndtr((np.log(x) - mu) / sigma))
+        ks = _ks_statistic(ndtr((samples.logs - mu) / sigma))
         params = {"mu": mu, "sigma": sigma}
     elif model == MODEL_PARETO_TAIL:
-        k = default_hill_k(n) if hill_k is None else int(hill_k)
+        k = default_hill_k(n) if hill_k is None else hill_k
         exponent = hill_estimator(samples, k)
         xmin = float(x[0])
         ll = float(
             n * math.log(exponent)
             + n * exponent * math.log(xmin)
-            - (exponent + 1.0) * np.sum(np.log(x))
+            - (exponent + 1.0) * np.sum(samples.logs)
         )
-        ks = _ks_statistic(x, 1.0 - (xmin / x) ** exponent)
+        ks = _ks_statistic(1.0 - (xmin / x) ** exponent)
         params = {"exponent": exponent, "xmin": xmin, "hill_k": float(k)}
     else:  # pragma: no cover
         raise ValueError(f"unknown model {model!r}")
@@ -442,10 +456,10 @@ def loglog_histogram(samples: SampleSet, bins_per_decade: int) -> np.ndarray:
     density is count / (n * linear bin width), so density * width sums to
     one. Empty bins are omitted; bin centers are geometric midpoints.
     """
+    if not isinstance(bins_per_decade, numbers.Integral) or bins_per_decade < 1:
+        raise ValueError(f"bins_per_decade must be an integer >= 1, got {bins_per_decade!r}")
     bins_per_decade = int(bins_per_decade)
-    if bins_per_decade < 1:
-        raise ValueError("bins_per_decade must be >= 1")
-    x = np.sort(samples.values)
+    x = samples.sorted
     n = x.size
     lo, hi = float(x[0]), float(x[-1])
     if lo == hi:

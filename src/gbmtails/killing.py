@@ -108,20 +108,16 @@ def sample_killed_batch(
     schedule: KillSchedule,
     n: int,
     master_seed: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """n independent (kill_time, state) rows; row i replays stream ``i``.
 
-    Returns an array of shape (n, 2), columns (kill_time, state). Rows
-    are computed here as one range; ``workers`` must be >= 1 and does not
-    change the output, which is byte-identical to any sharding of the range.
+    Returns an array of shape (n, 2), columns (kill_time, state), computed
+    as one range; it is byte-identical to any sharding of the range into
+    ``killed_rows_range`` calls.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     return killed_rows_range(params, schedule, master_seed, 0, n)
 
 

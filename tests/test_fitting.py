@@ -48,6 +48,16 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet(np.array([1.0, math.nan]))
 
+    def test_sorted_and_logs_are_cached_over_read_only_values(self):
+        raw = np.array([3.0, 1.0, 2.0])
+        samples = SampleSet(raw)
+        assert samples.sorted is samples.sorted and samples.logs is samples.logs
+        assert samples.sorted.tolist() == [1.0, 2.0, 3.0]
+        assert samples.logs.tobytes() == np.log(np.array([1.0, 2.0, 3.0])).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            samples.values[0] = 5.0
+        assert raw.flags.writeable  # the caller's array is not frozen
+
     def test_csv_round_trip(self, tmp_path):
         samples = SampleSet(np.array([1.5, 2.25, 0.125]), source="unit")
         path = tmp_path / "s.csv"
@@ -102,6 +112,25 @@ class TestHill:
         for k in (0, 1, 10, 11):
             with pytest.raises(ValueError):
                 hill_estimator(samples, k)
+
+    @pytest.mark.parametrize("count", [2.9, 3.0, np.float64(2.5)])
+    def test_non_integral_counts_are_rejected(self, count):
+        # a count is never truncated: 2.9 must not fit k = 2
+        samples = SampleSet(np.arange(1.0, 20.0))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hill_estimator(samples, count)
+        with pytest.raises(ValueError, match="bins_per_decade must be an integer"):
+            loglog_histogram(samples, count)
+        report = compare_models(samples, hill_k=count)
+        assert "k must be an integer" in report.errors["pareto_tail"]
+
+    def test_numpy_integer_counts(self):
+        samples = SampleSet(np.arange(1.0, 20.0))
+        assert hill_estimator(samples, np.int64(2)) == hill_estimator(samples, 2)
+        tail = compare_models(samples, hill_k=np.int32(2)).fit_for("pareto_tail")
+        assert tail.parameters["hill_k"] == 2.0
+        assert (loglog_histogram(samples, np.int64(3)).tobytes()
+                == loglog_histogram(samples, 3).tobytes())
 
     def test_default_k(self):
         assert default_hill_k(500) == 10
@@ -340,6 +369,9 @@ class TestInvariances:
         assert fit_dpareto_mle(SampleSet(shuffled)) == fit_dpareto_mle(SampleSet(x))
         assert hill_estimator(SampleSet(shuffled), 100) == hill_estimator(SampleSet(x), 100)
         assert fit_lognormal(SampleSet(shuffled)) == fit_lognormal(SampleSet(x))
+        assert compare_models(SampleSet(shuffled)) == compare_models(SampleSet(x))
+        assert (loglog_histogram(SampleSet(shuffled), 8).tobytes()
+                == loglog_histogram(SampleSet(x), 8).tobytes())
 
 
 class TestCompareModels:
@@ -392,6 +424,22 @@ class TestCompareModels:
         full = compare_models(samples, hill_k=2000)
         tail = full.fit_for("pareto_tail")
         assert tail.parameters["hill_k"] == 2000
+
+    def test_sorts_and_logs_the_sample_once(self, monkeypatch, quasi_batch):
+        samples = SampleSet(quasi_batch[:5000, 1])
+        calls = {"sort": 0, "log": 0}
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls[name] += np.size(a) == len(samples)
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "sort", counted("sort", np.sort))
+        monkeypatch.setattr(np, "log", counted("log", np.log))
+        report = compare_models(samples)
+        assert not report.errors
+        assert calls == {"sort": 1, "log": 1}
 
     def test_report_json_dict_is_stable(self, quasi_batch):
         samples = SampleSet(quasi_batch[:2000, 1], source="x")

@@ -11,6 +11,7 @@ from gbmtails.killing import (
     KillSchedule,
     _killed_rows,
     kill_time_from_uniform,
+    killed_rows_range,
     sample_kill_time,
     sample_killed_batch,
     sample_killed_state,
@@ -84,25 +85,25 @@ class TestKilledState:
             assert batch[i, 0] == s.kill_time and batch[i, 1] == s.state
 
     def test_worker_count_independence(self):
-        base = sample_killed_batch(QUASI, SCHEDULE, 10_000, master_seed=7, workers=1)
-        for workers in (4, 8):
-            other = sample_killed_batch(QUASI, SCHEDULE, 10_000, master_seed=7, workers=workers)
-            assert base.tobytes() == other.tobytes()
+        # the --workers pool concatenates killed_rows_range shards of -(-n // workers)
+        # rows; 2500 divides n, the other sizes leave a short last shard
+        n = 10_000
+        base = sample_killed_batch(QUASI, SCHEDULE, n, master_seed=7)
+        for size in (-(-n // 4), -(-n // 3), -(-n // 7), n - 1):
+            shards = [
+                killed_rows_range(QUASI, SCHEDULE, 7, lo, min(lo + size, n))
+                for lo in range(0, n, size)
+            ]
+            assert np.concatenate(shards, axis=0).tobytes() == base.tobytes(), size
 
     def test_batch_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_killed_batch(QUASI, SCHEDULE, 0, master_seed=1)
 
-    @pytest.mark.parametrize("workers", [0, -5])
-    def test_batch_rejects_worker_count_below_one(self, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            sample_killed_batch(QUASI, SCHEDULE, 10, master_seed=1, workers=workers)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_batch_rejects_a_state_that_overflows(self, workers):
+    def test_batch_rejects_a_state_that_overflows(self):
         # row 148 of seed 3 overflows float64; the other 999 rows do not
         with pytest.raises(ValueError, match=r"x0=1\.0, r=1\.0, alpha=0\.5"):
-            sample_killed_batch(GbmParams(1.0, 1.0, 0.5), SCHEDULE, 1000, 3, workers=workers)
+            sample_killed_batch(GbmParams(1.0, 1.0, 0.5), SCHEDULE, 1000, 3)
 
     def test_state_rejects_overflow(self):
         params = GbmParams(1.0, 1.0, 0.5)
