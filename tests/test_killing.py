@@ -100,10 +100,18 @@ class TestKilledState:
         with pytest.raises(ValueError):
             sample_killed_batch(QUASI, SCHEDULE, 0, master_seed=1)
 
-    def test_batch_rejects_a_state_that_overflows(self):
-        # row 148 of seed 3 overflows float64; the other 999 rows do not
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_batch_rejects_a_state_that_overflows(self, shards):
+        # row 148 of seed 3 overflows float64; the other 999 rows do not. One shard
+        # is the whole batch; with two, the first shard (rows 0..499) holds row 148
+        params, n = GbmParams(1.0, 1.0, 0.5), 1000
         with pytest.raises(ValueError, match=r"x0=1\.0, r=1\.0, alpha=0\.5"):
-            sample_killed_batch(GbmParams(1.0, 1.0, 0.5), SCHEDULE, 1000, 3)
+            if shards == 1:
+                sample_killed_batch(params, SCHEDULE, n, 3)
+            else:
+                size = -(-n // shards)
+                for lo in range(0, n, size):
+                    killed_rows_range(params, SCHEDULE, 3, lo, min(lo + size, n))
 
     def test_state_rejects_overflow(self):
         params = GbmParams(1.0, 1.0, 0.5)
