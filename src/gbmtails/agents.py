@@ -11,11 +11,12 @@ term ``coupling_in * mean`` feeds every agent, a competition term
 Updates are synchronous: the mean is taken from the pre-update snapshot,
 so the result does not depend on agent evaluation order. Agent i's k-th
 shock (the initial size is shock 0) is the inverse-CDF normal of draw k of
-substream i of the master stream, taken by ``RngStream.substream_normals``,
-so exchanging two agents exchanges their whole shock histories and the
-update commutes with relabeling. Sizes are clamped
-at a positive floor instead of killing agents, which keeps the population
-fixed and the fitted tail exponents comparable across a sweep.
+substream i of the master stream, so exchanging two agents exchanges their
+whole shock histories and the update commutes with relabeling. ``_shocks``
+draws that schedule 64 steps at a time; ``init_population`` and
+``step_population`` take their shocks as arguments. Sizes are clamped at a
+positive floor instead of killing agents, which keeps the population fixed
+and the fitted tail exponents comparable across a sweep.
 
 With both couplings at zero every agent is an independent discrete-time
 GBM and the size distribution stays lognormal; with positive couplings the
@@ -39,7 +40,10 @@ from .fitting import (
     SampleSet,
     compare_models,
 )
-from .rng import RngStream
+from .rng import RngStream, normals_from_uniforms
+
+# Steps of shocks drawn from each agent substream at a time.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,16 @@ def _clamp(sizes: np.ndarray, floor: float) -> int:
     return clamped
 
 
-def init_population(params: HiaParams, rng: RngStream) -> Population:
-    """Lognormal initial sizes (log-mean 0, log-std noise_std), clamped at the floor."""
-    z = rng.substream_normals(params.n_agents)
-    sizes = np.exp(params.noise_std * z)
+def _checked_shocks(params: HiaParams, z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.shape != (params.n_agents,):
+        raise ValueError(f"shocks must have shape ({params.n_agents},), got {z.shape}")
+    return z
+
+
+def init_population(params: HiaParams, z) -> Population:
+    """Lognormal initial sizes exp(noise_std * z), one normal per agent, clamped at the floor."""
+    sizes = np.exp(params.noise_std * _checked_shocks(params, z))
     clamped = _clamp(sizes, params.floor)
     return Population(sizes=sizes, step=0, clamped=clamped)
 
@@ -119,16 +129,25 @@ def _update_sizes(sizes: np.ndarray, growth: np.ndarray, params: HiaParams) -> n
     return growth * sizes + params.coupling_in * wbar - params.coupling_out * wbar * sizes
 
 
-def step_population(pop: Population, params: HiaParams, rng: RngStream) -> Population:
-    """One synchronous update of every agent; mean taken before the update."""
+def step_population(pop: Population, params: HiaParams, z) -> Population:
+    """One synchronous update of every agent with shocks ``z``; mean taken before the update."""
     sizes = pop.sizes
     if sizes.size != params.n_agents:
         raise ValueError("population size does not match params.n_agents")
-    z = rng.substream_normals(params.n_agents)
+    z = _checked_shocks(params, z)
     growth = np.exp(params.drift + params.noise_std * z)
     new_sizes = _update_sizes(sizes, growth, params)
     clamped = _clamp(new_sizes, params.floor)
     return Population(sizes=new_sizes, step=pop.step + 1, clamped=pop.clamped + clamped)
+
+
+def _shocks(rng: RngStream, n: int, count: int):
+    """Yield shocks 0..count-1 of agents 0..n-1; shock k of agent i is the
+    normal of draw k of ``rng.substream(i)``, which advances by exactly count."""
+    for lo in range(0, count, _BLOCK):
+        width = min(_BLOCK, count - lo)
+        u = np.array([rng.substream(i).uniforms(width) for i in range(n)])
+        yield from np.ascontiguousarray(normals_from_uniforms(u).T)
 
 
 def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]:
@@ -141,13 +160,13 @@ def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]
     """
     if params.n_agents < 10:
         raise ValueError("run_hia needs n_agents >= 10 for the model comparison")
-    rng = RngStream(seed, 0)
-    pop = init_population(params, rng)
+    shocks = _shocks(RngStream(seed, 0), params.n_agents, params.steps + 1)
+    pop = init_population(params, next(shocks))
     window_start = params.steps - max(1, params.steps // 10)
     log_growth: list[np.ndarray] = []
     for k in range(params.steps):
         prev = pop.sizes
-        pop = step_population(pop, params, rng)
+        pop = step_population(pop, params, next(shocks))
         if k >= window_start:
             log_growth.append(np.log(pop.sizes / prev))
     rates = np.concatenate(log_growth)

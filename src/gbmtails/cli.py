@@ -186,7 +186,8 @@ def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
         return sample_killed_batch(params, schedule, n, seed)
     _load(("concurrent.futures.process",))  # only a sharded batch pays for the pool
     size = -(-n // workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # shards stay per worker; processes stop at the CPU count, since fork starts them all at once
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(killed_rows_range, params, schedule, seed, lo, min(lo + size, n))
             for lo in range(0, n, size)

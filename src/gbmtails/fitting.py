@@ -468,7 +468,8 @@ def loglog_histogram(samples: SampleSet, bins_per_decade: int) -> np.ndarray:
         n_bins = max(1, int(math.ceil(math.log10(hi / lo) * bins_per_decade - 1e-12)))
         edges = lo * 10.0 ** (np.arange(n_bins + 1) / bins_per_decade)
         edges[-1] = max(edges[-1], hi)
-    counts, edges = np.histogram(x, bins=edges)
+    # np.histogram's counts without its re-sort: bins [e_k, e_k+1), the last one closed
+    counts = np.diff(np.append(np.searchsorted(x, edges[:-1], side="left"), n))
     widths = np.diff(edges)
     centers = np.sqrt(edges[:-1] * edges[1:])
     density = counts / (n * widths)

@@ -10,13 +10,6 @@ samplers take the leading uniforms of many streams at once from
 :class:`StreamUniformBlock`, which evaluates Philox itself and so depends
 on no private bit-generator state.
 
-Agent simulations take the next normal of each of substreams ``0..n-1`` in
-one call with :meth:`RngStream.substream_normals`, which reads each
-child's draws ahead in blocks of 64. Its results equal drawing from each
-``substream(i)`` in turn, but the read-ahead advances the children, so
-draw from a child either through ``substream_normals`` or directly, never
-both.
-
 Normal variates are produced by applying the inverse normal CDF to the
 uniform stream. The monotone coupling this induces (larger uniform, larger
 normal) is relied on by paired-seed tests elsewhere, so do not swap in a
@@ -38,8 +31,6 @@ _UINT64_MASK = (1 << 64) - 1
 # Smallest uniform the inverse CDF is allowed to see; the bit generator
 # emits 0.0 with probability 2**-53 and ndtri(0) would be -inf.
 _U_FLOOR = 2.0 ** -53
-# Draws each substream reads ahead in RngStream.substream_normals.
-_READ_AHEAD = 64
 
 
 def _check_seed(seed) -> int:
@@ -56,9 +47,6 @@ class RngStream:
 
     The stream is stateful: each draw advances it. Never share one stream
     between concurrent workers; give each worker its own ``stream_id``.
-
-    ``substream_normals`` keeps up to 64 read-ahead draws per child, so a
-    child used through it must not also be drawn from directly.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -73,10 +61,6 @@ class RngStream:
     def _start(self, bit_generator) -> None:
         self._gen = np.random.Generator(bit_generator)
         self._children: dict[int, "RngStream"] = {}
-        # substream_normals read-ahead: child i's next normal is
-        # _ahead[i, _cursor[i]]; a cursor at _READ_AHEAD means none is left.
-        self._ahead = np.empty((0, _READ_AHEAD))
-        self._cursor = np.empty(0, dtype=int)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -125,34 +109,6 @@ class RngStream:
         sub._start(np.random.Philox(seed=ss))
         self._children[child] = sub
         return sub
-
-    def substream_normals(self, n: int) -> np.ndarray:
-        """Next normal of each of substreams ``0..n-1``.
-
-        Bytes equal ``normals_from_uniforms`` of
-        ``[self.substream(i).uniform() for i in range(n)]``, but each child
-        is drawn from 64 uniforms at a time and the refilled rows are turned
-        into normals together, so there is one Python-level draw per child
-        and one inverse-CDF call per 64 calls instead of one per call. Each
-        child keeps its own cursor, so calls may differ in ``n``.
-        """
-        n = int(n)
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        grow = n - self._cursor.size
-        if grow > 0:
-            self._ahead = np.concatenate([self._ahead, np.empty((grow, _READ_AHEAD))])
-            self._cursor = np.concatenate([self._cursor, np.full(grow, _READ_AHEAD)])
-        cursor = self._cursor[:n]
-        refill = np.flatnonzero(cursor == _READ_AHEAD)
-        if refill.size:
-            for i in refill.tolist():
-                self._ahead[i] = self.substream(i).uniforms(_READ_AHEAD)
-            self._ahead[refill] = normals_from_uniforms(self._ahead[refill])
-            cursor[refill] = 0
-        z = self._ahead[np.arange(n), cursor]
-        cursor += 1
-        return z
 
 
 # Philox4x64-10 constants, as in numpy's ``Philox`` bit generator.

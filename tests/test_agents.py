@@ -11,6 +11,7 @@ from gbmtails.agents import (
     HiaParams,
     Population,
     _modal,
+    _shocks,
     _update_sizes,
     init_population,
     run_hia,
@@ -25,14 +26,18 @@ from gbmtails.sde import GbmParams, terminal_log_law
 from gbmtails.serialization import dumps
 
 
+def per_child_shocks(rng: RngStream, n: int) -> np.ndarray:
+    """The next shock of agents 0..n-1: one ``substream(i).uniform()`` each."""
+    return normals_from_uniforms(np.array([rng.substream(i).uniform() for i in range(n)]))
+
+
 def reference_run_hia(p: HiaParams, seed: int):
     """run_hia written out with one ``substream(i).uniform()`` per agent per
     step; returns (sizes, effective_alpha, report, floor clamp count)."""
     rng = RngStream(seed, 0)
 
     def normals():
-        return normals_from_uniforms(
-            np.array([rng.substream(i).uniform() for i in range(p.n_agents)]))
+        return per_child_shocks(rng, p.n_agents)
 
     def clamp(x):
         return np.maximum(x, p.floor), int(np.sum(x < p.floor))
@@ -51,6 +56,25 @@ def reference_run_hia(p: HiaParams, seed: int):
     report = compare_models(
         SampleSet(sizes, source=f"hia(seed={seed}, noise_std={p.noise_std})"))
     return sizes, float(np.std(np.concatenate(log_growth))), report, clamped
+
+
+def shocks(p: HiaParams, seed: int):
+    """run_hia's shock generator: init shock, then one per step."""
+    return _shocks(RngStream(seed, 0), p.n_agents, p.steps + 1)
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [5, 1])
+def test_shocks_equal_per_child_draws(n, count):
+    master, twin = RngStream(31, 4), RngStream(31, 4)
+    got = list(_shocks(master, n, count))
+    assert len(got) == count and all(z.shape == (n,) for z in got)
+    draws = np.array([twin.substream(i).uniforms(count + 1) for i in range(n)])
+    expected = normals_from_uniforms(draws[:, :count]).T
+    assert np.array(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+    # nothing is read ahead: each child has advanced by exactly count draws
+    after = np.array([master.substream(i).uniform() for i in range(n)])
+    assert after.tobytes() == draws[:, count].tobytes()
 
 
 def params(**overrides) -> HiaParams:
@@ -86,39 +110,52 @@ class TestParams:
 
 class TestInit:
     def test_zero_noise_gives_unit_sizes(self):
-        pop = init_population(params(noise_std=0.0), RngStream(1, 0))
+        p = params(noise_std=0.0)
+        pop = init_population(p, next(shocks(p, 1)))
         assert np.all(pop.sizes == 1.0)
         assert pop.step == 0
 
     def test_log_moments(self):
-        pop = init_population(params(n_agents=10_000, noise_std=1.0), RngStream(3, 0))
+        p = params(n_agents=10_000, noise_std=1.0)
+        pop = init_population(p, next(shocks(p, 3)))
         assert abs(np.mean(np.log(pop.sizes))) < 3 * (1.0 / 100)
 
     def test_determinism(self):
-        a = init_population(params(), RngStream(9, 0))
-        b = init_population(params(), RngStream(9, 0))
+        p = params()
+        a = init_population(p, next(shocks(p, 9)))
+        b = init_population(p, next(shocks(p, 9)))
         assert a.sizes.tobytes() == b.sizes.tobytes()
 
     def test_floor_clamp(self):
-        pop = init_population(params(n_agents=5000, noise_std=5.0, floor=0.5), RngStream(2, 0))
+        p = params(n_agents=5000, noise_std=5.0, floor=0.5)
+        pop = init_population(p, next(shocks(p, 2)))
         assert np.all(pop.sizes >= 0.5)
+
+
+@pytest.mark.parametrize("z", [0.5, np.zeros(3), np.zeros((4, 1))], ids=["scalar", "n-1", "n-by-1"])
+def test_shocks_of_the_wrong_shape_are_rejected(z):
+    p = params(n_agents=4)
+    with pytest.raises(ValueError, match="shape"):
+        init_population(p, z)
+    with pytest.raises(ValueError, match="shape"):
+        step_population(Population(sizes=np.ones(4)), p, z)
 
 
 class TestClampCount:
     def test_zero_noise_without_clamping_counts_zero(self):
         p = params(noise_std=0.0, steps=10)
-        rng = RngStream(1, 0)
-        pop = init_population(p, rng)
+        z = shocks(p, 1)
+        pop = init_population(p, next(z))
         for _ in range(p.steps):
-            pop = step_population(pop, p, rng)
+            pop = step_population(pop, p, next(z))
         assert pop.clamped == 0
 
     def test_count_matches_hand_stepped_loop(self):
         p = params(n_agents=200, noise_std=5.0, floor=0.5, steps=12)
         rng = RngStream(6, 0)
-        pop = init_population(p, rng)
+        pop = init_population(p, per_child_shocks(rng, p.n_agents))
         for _ in range(p.steps):
-            pop = step_population(pop, p, rng)
+            pop = step_population(pop, p, per_child_shocks(rng, p.n_agents))
         *_, expected = reference_run_hia(p, seed=6)
         assert pop.clamped > 0
         assert pop.clamped == expected
@@ -127,9 +164,9 @@ class TestClampCount:
 class TestStep:
     def test_decoupled_deterministic_growth(self):
         p = params(noise_std=0.0, coupling_in=0.0, coupling_out=0.0, drift=0.07)
-        rng = RngStream(4, 0)
-        pop = init_population(p, rng)
-        stepped = step_population(pop, p, rng)
+        z = shocks(p, 4)
+        pop = init_population(p, next(z))
+        stepped = step_population(pop, p, next(z))
         assert np.array_equal(stepped.sizes, pop.sizes * math.exp(0.07))
         assert stepped.step == 1
 
@@ -138,7 +175,7 @@ class TestStep:
         p = params(n_agents=3, noise_std=0.0, drift=0.0, coupling_in=0.0,
                    coupling_out=0.5)
         pop = Population(sizes=np.array([1.0, 2.0, 3.0]))
-        out = step_population(pop, p, RngStream(0, 0))
+        out = step_population(pop, p, next(shocks(p, 0)))
         wbar = 2.0
         expected = np.maximum(pop.sizes - 0.5 * wbar * pop.sizes, p.floor)
         assert np.allclose(out.sizes, expected, rtol=1e-15)
@@ -155,10 +192,10 @@ class TestStep:
 
     def test_floor_never_violated(self):
         p = params(n_agents=500, noise_std=1.0, coupling_out=2.0, floor=1e-3, steps=30)
-        rng = RngStream(5, 0)
-        pop = init_population(p, rng)
+        z = shocks(p, 5)
+        pop = init_population(p, next(z))
         for _ in range(30):
-            pop = step_population(pop, p, rng)
+            pop = step_population(pop, p, next(z))
             assert np.all(pop.sizes >= p.floor)
 
     def test_decoupled_marginal_matches_exact_gbm_law(self):
@@ -167,10 +204,10 @@ class TestStep:
         k, noise, drift = 50, 0.3, 0.01
         p = params(n_agents=10_000, noise_std=noise, drift=drift,
                    coupling_in=0.0, coupling_out=0.0, steps=k)
-        rng = RngStream(123, 0)
-        pop = init_population(p, rng)
+        z = shocks(p, 123)
+        pop = init_population(p, next(z))
         for _ in range(k):
-            pop = step_population(pop, p, rng)
+            pop = step_population(pop, p, next(z))
         r_matched = noise**2 / 2 + k * drift / (k + 1)
         law = terminal_log_law(GbmParams(x0=1.0, r=r_matched, alpha=noise), k + 1)
         p_value = kstest(np.log(pop.sizes), "norm", args=(law.mean, law.std)).pvalue
@@ -182,7 +219,8 @@ class TestRunHia:
         p = params(n_agents=50, steps=1)
         pop, _, _ = run_hia(p, seed=21)
         rng = RngStream(21, 0)
-        manual = step_population(init_population(p, rng), p, rng)
+        pop0 = init_population(p, per_child_shocks(rng, p.n_agents))
+        manual = step_population(pop0, p, per_child_shocks(rng, p.n_agents))
         assert pop.sizes.tobytes() == manual.sizes.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,36 @@ class TestSimulate:
         assert run_cli(capsys, *args, "--workers", "1", "--out", str(w1))[0] == 0
         assert run_cli(capsys, *args, "--workers", "4", "--out", str(w4))[0] == 0
         assert sha256_file(w1) == sha256_file(w4)
+
+    def test_pool_processes_stop_at_the_cpu_count(self, capsys, tmp_path, monkeypatch):
+        from gbmtails import cli
+
+        asked = []
+
+        class InlinePool:  # records the process count and runs each shard here
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        args = ("simulate", "--mode", "killed", "--r", "0.05", "--alpha", "0.2",
+                "--nu", "0.01", "--n", "1000", "--seed", "3")
+        w1, w64 = tmp_path / "w1.csv", tmp_path / "w64.csv"
+        assert run_cli(capsys, *args, "--workers", "1", "--out", str(w1))[0] == 0
+        assert run_cli(capsys, *args, "--workers", "64", "--out", str(w64))[0] == 0
+        assert asked == [2]
+        assert sha256_file(w1) == sha256_file(w64)
 
     def test_requires_mode_specific_options(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -440,6 +440,8 @@ class TestCompareModels:
         report = compare_models(samples)
         assert not report.errors
         assert calls == {"sort": 1, "log": 1}
+        loglog_histogram(samples, 8)
+        assert calls["sort"] == 1
 
     def test_report_json_dict_is_stable(self, quasi_batch):
         samples = SampleSet(quasi_batch[:2000, 1], source="x")
@@ -449,6 +451,10 @@ class TestCompareModels:
         assert a["preferred"] == "double_pareto"
 
 
+# The edges loglog_histogram(., 4) makes for a sample whose minimum is 1.
+_QUARTER_DECADES = 10.0 ** (np.arange(13) / 4)
+
+
 class TestLogLogHistogram:
     def test_single_value(self):
         table = loglog_histogram(SampleSet(np.full(7, 4.2)), bins_per_decade=5)
@@ -456,6 +462,25 @@ class TestLogLogHistogram:
         center, density = table[0]
         width = 4.2 * (10 ** (1 / 5) - 1)
         assert density == pytest.approx(1.0 / width, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [
+        np.concatenate([_QUARTER_DECADES[[0, 0, 1]], [2.0], _QUARTER_DECADES[[2, 2]], [4.0, 5.0]]),
+        _QUARTER_DECADES,  # the largest value is the last edge
+        np.full(5, 3.0),
+    ], ids=["interior-edges", "last-edge", "lo-equals-hi"])
+    def test_counts_equal_numpy_histogram(self, x):
+        bins_per_decade = 4
+        table = loglog_histogram(SampleSet(x), bins_per_decade)
+        lo, hi = x.min(), x.max()
+        if lo == hi:
+            edges = np.array([lo, lo * 10.0 ** (1.0 / bins_per_decade)])
+        else:
+            n_bins = max(1, int(math.ceil(math.log10(hi / lo) * bins_per_decade - 1e-12)))
+            edges = lo * 10.0 ** (np.arange(n_bins + 1) / bins_per_decade)
+            edges[-1] = max(edges[-1], hi)
+        counts, _ = np.histogram(x, bins=edges)
+        density = counts / (x.size * np.diff(edges))
+        assert table[:, 1].tobytes() == density[counts > 0].tobytes()
 
     def test_total_mass(self):
         x = pareto_samples(100_000, 1.5, seed=80)

@@ -5,8 +5,8 @@ vectorised RNG block, chunked CSV writers and loadtxt fit reader replaced
 (the gbm ``fit`` and ``sweep`` digests by the line-by-line one-column reader
 and scipy's ``spearmanr``, before the shared loadtxt sample reader and the
 numpy Spearman; the ``*_past_read_ahead`` digests by one
-``substream(i).uniform()`` call per agent per step, before the substream
-read-ahead; the 100k-point ``figure1`` digest, the benchmark's pin, by the
+``substream(i).uniform()`` call per agent per step, before the 64-step
+blocks; the 100k-point ``figure1`` digest, the benchmark's pin, by the
 per-point exponent solver, before the shared array body; the ``solve``
 digests by the report built field by field, before ``asdict``); any change
 to them is a change to the program's output bytes.
@@ -75,7 +75,7 @@ def test_hia(tmp_path, capsys):
 
 
 def test_hia_past_read_ahead(tmp_path, capsys):
-    # 151 draws per agent substream: past two 64-draw read-ahead blocks
+    # 151 draws per agent substream: past two 64-step blocks
     out = tmp_path / "h.csv"
     assert main(["hia", "--agents", "30", "--steps", "150", "--seed", "3", "--out", str(out)]) == 0
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

@@ -72,8 +72,6 @@ def test_validation():
         RngStream(1.5, 0)
     with pytest.raises(ValueError):
         RngStream(0, 0).substream(-1)
-    with pytest.raises(ValueError):
-        RngStream(0, 0).substream_normals(-1)
 
 
 def test_uniform_block_matches_per_stream_construction():
@@ -131,32 +129,3 @@ def test_uniform_block_stream_ids_stay_in_64_bits():
         block.take(2**64 - 1, 2)
     with pytest.raises(ValueError):
         block.take(-1, 1)
-
-
-def _per_child_normals(master: RngStream, n: int) -> np.ndarray:
-    return normals_from_uniforms(np.array([master.substream(i).uniform() for i in range(n)]))
-
-
-@pytest.mark.parametrize("calls", [1, 63, 64, 65, 130])
-@pytest.mark.parametrize("widths", [(5, 3, 7, 2, 9), (6,)])
-def test_substream_uniforms_equal_per_child_draws(calls, widths):
-    fast, twin = RngStream(31, 4), RngStream(31, 4)
-    for k in range(calls):
-        n = widths[k % len(widths)]
-        got = fast.substream_normals(n)
-        assert got.tobytes() == _per_child_normals(twin, n).tobytes(), f"call {k}, n={n}"
-
-
-def test_substream_uniforms_after_memoized_child_and_empty_call():
-    master, twin = RngStream(8, 0), RngStream(8, 0)
-    master.substream(2)  # created but not drawn from
-    assert master.substream_normals(0).size == 0
-    for _ in range(70):
-        assert master.substream_normals(4).tobytes() == _per_child_normals(twin, 4).tobytes()
-
-
-def test_substream_uniforms_read_ahead_is_bounded():
-    master = RngStream(1, 0)
-    for n in (3, 10, 2, 10, 7):
-        master.substream_normals(n)
-    assert master._ahead.size == 64 * 10
