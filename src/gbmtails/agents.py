@@ -211,12 +211,16 @@ def run_sweep(
     values,
     n_seeds: int,
     master_seed: int,
+    map=map,
 ) -> SweepResult:
     """Sweep one parameter, averaging each point over ``n_seeds`` replicate runs.
 
     Returns per-point means of effective_alpha and fitted m1 plus the
     Spearman rank correlation between the varied values and mean m1. Run
-    seeds are ``master_seed + 100000 * point_index + replicate``.
+    seeds are ``master_seed + 100000 * point_index + replicate``. The runs are
+    independent and go to ``map(run_hia, params_list, seeds)``: serial by
+    default, while the ``sweep`` command passes its process map past a size
+    floor. A map that returns results in order gives the same result.
     """
     if vary not in ("noise_std", "coupling_in", "coupling_out"):
         raise ValueError(f"cannot vary {vary!r}")
@@ -227,31 +231,29 @@ def run_sweep(
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
 
+    grid = [replace(base, **{vary: v}) for v in values]
+    runs = list(map(
+        run_hia,
+        [params for params in grid for _ in range(n_seeds)],
+        [master_seed + 100000 * pi + rep for pi in range(len(grid)) for rep in range(n_seeds)],
+    ))
     points = []
-    clamped = 0
-    for pi, v in enumerate(values):
-        params = replace(base, **{vary: v})
-        alphas, m1s, prefs = [], [], []
-        for rep in range(n_seeds):
-            pop, eff_alpha, report = run_hia(params, master_seed + 100000 * pi + rep)
-            clamped += pop.clamped
-            alphas.append(eff_alpha)
-            m1s.append(_fitted_m1(report))
-            if report.preferred is not None:
-                prefs.append(report.preferred)
-        preferred = _modal(prefs)
+    for pi, params in enumerate(grid):
+        replicates = runs[pi * n_seeds:(pi + 1) * n_seeds]
         points.append(
             SweepPoint(
                 noise_std=params.noise_std,
                 coupling=params.coupling_out if vary == "coupling_out" else params.coupling_in,
-                effective_alpha=float(np.mean(alphas)),
-                m1_hat=float(np.nanmean(m1s)),
-                preferred_model=preferred,
+                effective_alpha=float(np.mean([eff_alpha for _, eff_alpha, _ in replicates])),
+                m1_hat=float(np.nanmean([_fitted_m1(report) for _, _, report in replicates])),
+                preferred_model=_modal([report.preferred for _, _, report in replicates
+                                        if report.preferred is not None]),
             )
         )
     varied_values = np.array(values)
     m1_means = np.array([p.m1_hat for p in points])
     rho = spearmanr(varied_values, m1_means)
+    clamped = sum(pop.clamped for pop, _, _ in runs)
     return SweepResult(points=tuple(points), spearman_rho=rho, varied=vary, clamped=clamped)
 
 

@@ -14,6 +14,7 @@ import pytest
 from scipy.stats import kstest
 
 from gbmtails.agents import HiaParams, run_hia, run_sweep
+from gbmtails.cli import _process_map
 from gbmtails.cli import main as cli_main
 from gbmtails.dpareto import (
     ALPHA_HUGE,
@@ -180,7 +181,8 @@ def test_criterion_8_agent_sweep():
             coupling_out=0.1, steps=600, floor=1e-6,
         )
         result = run_sweep(
-            base, "noise_std", np.linspace(0.05, 0.8, 8), n_seeds=5, master_seed=7
+            base, "noise_std", np.linspace(0.05, 0.8, 8), n_seeds=5, master_seed=7,
+            map=_process_map,
         )
         assert abs(result.spearman_rho) >= 0.8, f"rho={result.spearman_rho:.3f}"
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gbmtails
-from gbmtails.agents import HiaParams, run_hia
+from gbmtails.agents import HiaParams, run_hia, run_sweep, sweep_csv_text
 from gbmtails.cli import COMMANDS, main
 from gbmtails.fitting import SampleCsvError, read_sample_csv
 from gbmtails.serialization import sha256_file
@@ -192,7 +192,9 @@ class TestSimulate:
                 return done
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # two usable CPUs on a larger host: the affinity mask decides
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         args = ("simulate", "--mode", "killed", "--r", "0.05", "--alpha", "0.2",
                 "--nu", "0.01", "--n", "1000", "--seed", "3")
         w1, w64 = tmp_path / "w1.csv", tmp_path / "w64.csv"
@@ -200,6 +202,15 @@ class TestSimulate:
         assert run_cli(capsys, *args, "--workers", "64", "--out", str(w64))[0] == 0
         assert asked == [2]
         assert sha256_file(w1) == sha256_file(w64)
+
+    def test_usable_cpus_fall_back_to_the_cpu_count_without_affinity(self, monkeypatch):
+        from gbmtails import cli
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
     def test_requires_mode_specific_options(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -365,6 +376,34 @@ class TestHiaAndSweep:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0].startswith("noise_std,coupling,")
         assert len(lines) == 4
+
+    def test_process_map_gives_the_serial_sweep(self):
+        from gbmtails import cli
+
+        base = HiaParams(n_agents=40, noise_std=1.0, coupling_in=0.1, coupling_out=0.1,
+                         steps=30, floor=0.2)
+        # three runs, so two processes get unequal shares
+        serial = run_sweep(base, "noise_std", [0.6, 0.8, 1.0], 1, 23)
+        pooled = run_sweep(base, "noise_std", [0.6, 0.8, 1.0], 1, 23, map=cli._process_map)
+        assert serial.clamped > 0 and not math.isnan(serial.spearman_rho)
+        assert pooled == serial
+        assert sweep_csv_text(pooled) == sweep_csv_text(serial)
+
+    def test_sweep_below_the_pool_floor_starts_no_pool(self, capsys, tmp_path, monkeypatch):
+        from gbmtails import cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep below the floor started a pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        args = ["sweep", "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "15"]
+        monkeypatch.setattr(cli, "_SWEEP_POOL_MIN_AGENT_STEPS", 3 * 2 * 40 * 16 + 1)
+        assert run_cli(capsys, *args, "--out", str(tmp_path / "s.csv"))[0] == 0
+        # one usable CPU runs serially whatever the size
+        monkeypatch.setattr(cli, "_SWEEP_POOL_MIN_AGENT_STEPS", 0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert run_cli(capsys, *args, "--out", str(tmp_path / "one_cpu.csv"))[0] == 0
 
     @pytest.mark.parametrize("command", [
         ["hia", "--agents", "40", "--steps", "30"],

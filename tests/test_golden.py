@@ -13,6 +13,7 @@ to them is a change to the program's output bytes.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -113,14 +114,51 @@ def test_figure1_full_grid(capsys):
     assert digest == "9a16c9119d2529ae3c2a3f03a350e0f249e98136399a895544e7f79387f63102"
 
 
+SWEEP = ("sweep", "--vary", "noise_std", "--min", "0.1", "--max", "0.5",
+         "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "15", "--seed", "5")
+SWEEP_CSV = "4d8048fafc95fb4abde8edfab1bb9dfb38b933aec15c481fd6ccbd7684423a55"
+SWEEP_STDOUT = "638e4e42be58e8d6b721346a044715f36dfd189642bb986340247efc4385b910"
+
+
 def test_sweep(tmp_path, capsys):
     out = tmp_path / "sw.csv"
-    assert main(["sweep", "--vary", "noise_std", "--min", "0.1", "--max", "0.5",
-                 "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "15",
-                 "--seed", "5", "--out", str(out)]) == 0
+    assert main([*SWEEP, "--out", str(out)]) == 0
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert _sha(out) == "4d8048fafc95fb4abde8edfab1bb9dfb38b933aec15c481fd6ccbd7684423a55"
-    assert stdout == "638e4e42be58e8d6b721346a044715f36dfd189642bb986340247efc4385b910"
+    assert _sha(out) == SWEEP_CSV
+    assert stdout == SWEEP_STDOUT
+
+
+def test_sweep_in_a_process_pool(tmp_path, capsys, monkeypatch):
+    """Past the size floor the runs go to processes; bytes, stdout and manifest keep."""
+    from gbmtails import cli
+
+    serial = tmp_path / "serial.csv"
+    assert main([*SWEEP, "--out", str(serial)]) == 0
+    capsys.readouterr()
+    pools = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_SWEEP_POOL_MIN_AGENT_STEPS", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "sw.csv"
+    assert main([*SWEEP, "--out", str(out)]) == 0
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert pools == [2]
+    assert _sha(out) == _sha(serial) == SWEEP_CSV
+    assert stdout == SWEEP_STDOUT
+    manifest = json.loads((tmp_path / "sw.csv.manifest.json").read_text())
+    serial_manifest = json.loads((tmp_path / "serial.csv.manifest.json").read_text())
+    assert manifest.keys() == serial_manifest.keys()
+    assert {**manifest["params"], "out": None} == {**serial_manifest["params"], "out": None}
+    assert manifest["clamped"] == serial_manifest["clamped"]
+    assert main(["replay", str(tmp_path / "sw.csv.manifest.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["reproduced"] is True
+    assert pools == [2, 2]
 
 
 def test_sweep_past_read_ahead(tmp_path, capsys):

@@ -43,10 +43,13 @@ def test_every_wrapped_name_resolves():
 
 # In a fresh interpreter, replaces each named gbmtails.cli attribute with a
 # counting wrapper before any command runs, as the tracer does, then runs each
-# CLI argument list and prints {command: [wrapped names it called]}.
+# CLI argument list and prints {command: [wrapped names it called]}. Every
+# sweep here is past the pool's size floor and sees two usable CPUs.
 _COUNT_CALLS = """
 import contextlib, functools, io, json, sys
 import gbmtails.cli as cli
+cli._SWEEP_POOL_MIN_AGENT_STEPS = 0
+cli._usable_cpus = lambda: 2
 targets, commands = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 called = set()
 def counting(name, fn):
@@ -57,6 +60,8 @@ def counting(name, fn):
     return wrapper
 for name in targets:
     setattr(cli, name, counting(name, getattr(cli, name)))
+import gbmtails.agents as agents  # wrapped by the tracer too; a pooled sweep pickles it
+agents.run_hia = counting("agents.run_hia", agents.run_hia)
 calls = {}
 for label, argv in commands.items():
     called.clear()
@@ -80,6 +85,8 @@ _COMMANDS = {
             "--n", "1000", "--out", "g.csv"],
     "fit": ["fit", "g.csv"],
     "hia": ["hia", "--agents", "20", "--steps", "5"],
+    "sweep_pooled": ["sweep", "--points", "3", "--seeds", "1", "--agents", "20", "--steps", "5",
+                     "--out", "sw.csv"],
 }
 _CALLED_BY = {
     "solve_exponents_canonical": "solve",
@@ -113,4 +120,5 @@ def test_wrappers_set_on_cli_before_a_command_are_what_it_calls(tmp_path):
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout.splitlines()[-1])
     assert [t for t in targets if t not in calls[_CALLED_BY[t]]] == []
+    assert "ProcessPoolExecutor" in calls["sweep_pooled"]  # the sweep's pool is the same one
     assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "k2.csv").read_bytes()
