@@ -219,8 +219,8 @@ def run_sweep(
     Spearman rank correlation between the varied values and mean m1. Run
     seeds are ``master_seed + 100000 * point_index + replicate``. The runs are
     independent and go to ``map(run_hia, params_list, seeds)``: serial by
-    default, while the ``sweep`` command passes its process map past a size
-    floor. A map that returns results in order gives the same result.
+    default, while the ``sweep`` command passes its process map on 2 or more
+    usable CPUs. A map that returns results in order gives the same result.
     """
     if vary not in ("noise_std", "coupling_in", "coupling_out"):
         raise ValueError(f"cannot vary {vary!r}")
@@ -240,12 +240,14 @@ def run_sweep(
     points = []
     for pi, params in enumerate(grid):
         replicates = runs[pi * n_seeds:(pi + 1) * n_seeds]
+        m1s = [_fitted_m1(report) for _, _, report in replicates]
         points.append(
             SweepPoint(
                 noise_std=params.noise_std,
                 coupling=params.coupling_out if vary == "coupling_out" else params.coupling_in,
                 effective_alpha=float(np.mean([eff_alpha for _, eff_alpha, _ in replicates])),
-                m1_hat=float(np.nanmean([_fitted_m1(report) for _, _, report in replicates])),
+                # no model fits a zero-noise point; nanmean of all-NaN would warn
+                m1_hat=math.nan if all(math.isnan(m) for m in m1s) else float(np.nanmean(m1s)),
                 preferred_model=_modal([report.preferred for _, _, report in replicates
                                         if report.preferred is not None]),
             )

@@ -24,10 +24,10 @@ key, a missing required one, a bool, a value its option's type would change
 choices, or ``null`` for an option with a default exits 2 naming the key.
 A command imports only the modules its ``COMMANDS`` entry names.
 
-``simulate --workers N`` and a ``sweep`` of at least
-``_SWEEP_POOL_MIN_AGENT_STEPS`` agent-steps (no option sets this) send their
-independent jobs to one ordered process map of at most as many processes as
-jobs or usable CPUs; output bytes, stdout and manifests never depend on it.
+``simulate --mode killed --workers N`` (N > 1) shards its batch into at most
+N parts, and ``sweep`` splits into its ``points x seeds`` runs on 2 or more
+usable CPUs; both go to one ordered process map of at most as many processes
+as jobs or usable CPUs. Output bytes, stdout and manifests never depend on it.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ _LAZY = {
 # fitting.ALL_MODELS, spelled out so that building the parser does not import
 # fitting; a test keeps the two equal.
 _MODELS = ("double_pareto", "lognormal", "pareto_tail")
-# Agent-steps (runs x agents x (steps + 1)) from which a sweep's runs go to a
-# process pool. Measured on a 2-CPU Xeon: the pool cost 13 ms more than the
-# serial runs at 201,000 agent-steps and saved 20-40 ms at 301,500.
-_SWEEP_POOL_MIN_AGENT_STEPS = 300_000
 
 
 def _load(modules) -> None:
@@ -180,6 +176,8 @@ def _exec_simulate(p: dict) -> CommandResult:
         raise ValueError(f"simulate --mode {mode} needs --{needed}")
     if p[unused] is not None:
         raise ValueError(f"simulate --mode {mode} does not take --{unused}")
+    if mode == "gbm" and p["workers"] > 1:
+        raise ValueError("simulate --mode gbm does not take --workers above 1")
     if mode == "gbm":
         levels = sample_terminal_levels(params, p["t"], p["n"], p["seed"])  # finite, > 0
         artifact = Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, levels))
@@ -192,7 +190,7 @@ def _exec_simulate(p: dict) -> CommandResult:
 
 def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
     """Worker-sharded batch; byte-identical to the sequential path."""
-    if workers <= 1 or n < 4 * workers:
+    if workers <= 1:
         return sample_killed_batch(params, schedule, n, seed)
     size = -(-n // workers)
     los = range(0, n, size)
@@ -253,11 +251,9 @@ def _exec_sweep(p: dict) -> CommandResult:
     if p["points"] < 2:
         raise ValueError("points must be >= 2")
     values = np.linspace(p["min"], p["max"], p["points"])
-    # points >= 2, so a valid sweep has at least two runs to share
-    agent_steps = p["points"] * p["seeds"] * p["agents"] * (p["steps"] + 1)
-    pooled = agent_steps >= _SWEEP_POOL_MIN_AGENT_STEPS and _usable_cpus() >= 2
+    # points >= 2, so a sweep has at least two runs to share; one CPU runs them here
     result = run_sweep(_hia_params(p), p["vary"], values, p["seeds"], p["seed"],
-                       map=_process_map if pooled else map)
+                       map=_process_map if _usable_cpus() >= 2 else map)
     text = sweep_csv_text(result)
     doc = {"varied": result.varied, "spearman_rho": result.spearman_rho}
     artifact = Artifact(p["out"], lambda fh: fh.write(text))
@@ -335,7 +331,7 @@ COMMANDS = {
         "nu": Option(float, None, "observation rate (killed mode only)"),
         "n": Option(int, help="number of samples"),
         "seed": _SEED,
-        "workers": Option(int, 1, "shard the batch; results are independent of this"),
+        "workers": Option(int, 1, "shard a killed batch into this many parts (gbm: 1 only)"),
         "out": Option(str, help="sample CSV path (with manifest)"),
     }),
     "fit": Command(_exec_fit, (".fitting",),

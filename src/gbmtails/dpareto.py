@@ -293,9 +293,9 @@ class LimitRecord:
 
     ``deviation`` compares magnitudes: | |evaluated| - |stated| | when the
     stated limit is finite, |1/evaluated| when it is infinite (zero means
-    the divergence is confirmed). ``sign_agrees`` records whether direct
-    evaluation matches the tabulated sign; a stated value of zero agrees
-    with anything.
+    the divergence is confirmed; inf, the furthest miss, when evaluated is
+    0). ``sign_agrees`` records whether direct evaluation matches the
+    tabulated sign; a stated value of zero agrees with anything.
     """
 
     limit_id: str
@@ -321,7 +321,7 @@ class LimitReport:
 
 def _limit_record(limit_id: str, evaluated: float, stated: float) -> LimitRecord:
     if math.isinf(stated):
-        deviation = 0.0 if math.isinf(evaluated) else abs(1.0 / evaluated)
+        deviation = abs(1.0 / evaluated) if evaluated != 0.0 else math.inf
     else:
         deviation = abs(abs(evaluated) - abs(stated))
     if stated == 0.0:

@@ -277,6 +277,15 @@ class TestSweep:
         result = run_sweep(base, vary, [0.1, 0.2], n_seeds=1, master_seed=1)
         assert [p.coupling for p in result.points] == [0.1, 0.2]
 
+    def test_zero_noise_point_has_no_fit_and_no_warning(self):
+        # every agent stays equal at zero noise, so no model fits any replicate;
+        # tier-1 turns a RuntimeWarning (nanmean of all-NaN) into an error
+        result = run_sweep(params(n_agents=40, steps=5), "noise_std", [0.0, 0.3],
+                           n_seeds=2, master_seed=3)
+        zero, noisy = result.points
+        assert math.isnan(zero.m1_hat) and zero.preferred_model == "none"
+        assert noisy.preferred_model != "none"
+
     def test_rejects_bad_requests(self):
         base = params()
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -12,7 +14,7 @@ import pytest
 
 import gbmtails
 from gbmtails.agents import HiaParams, run_hia, run_sweep, sweep_csv_text
-from gbmtails.cli import COMMANDS, main
+from gbmtails.cli import COMMANDS, build_parser, main
 from gbmtails.fitting import SampleCsvError, read_sample_csv
 from gbmtails.serialization import sha256_file
 
@@ -103,6 +105,16 @@ class TestRegimeAndLimits:
                        lines[1].split(",")))
         assert row["id"] == "nu_to_zero_m1"
         assert float(row["st"]) == pytest.approx(1.5, rel=1e-12)
+
+    def test_limits_with_an_infinite_limit_evaluated_at_zero(self, capsys):
+        # the nu -> inf m2 proxy evaluates to exactly 0.0 here: the furthest
+        # miss of an infinite limit, not a division by zero
+        code, out, _ = run_cli(
+            capsys, "limits", "--r", "1e6", "--alpha", "1e-8", "--nu", "0.01"
+        )
+        assert code == 0
+        rows = {line.split(",")[0]: line.split(",") for line in out.strip().split("\n")[1:]}
+        assert rows["nu_to_inf_m2"][1:4] == ["0", "-inf", "inf"]
 
 
 class TestFigure1:
@@ -196,12 +208,18 @@ class TestSimulate:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         args = ("simulate", "--mode", "killed", "--r", "0.05", "--alpha", "0.2",
-                "--nu", "0.01", "--n", "1000", "--seed", "3")
+                "--nu", "0.01", "--seed", "3")
         w1, w64 = tmp_path / "w1.csv", tmp_path / "w64.csv"
-        assert run_cli(capsys, *args, "--workers", "1", "--out", str(w1))[0] == 0
-        assert run_cli(capsys, *args, "--workers", "64", "--out", str(w64))[0] == 0
+        assert run_cli(capsys, *args, "--n", "1000", "--workers", "1", "--out", str(w1))[0] == 0
+        assert run_cli(capsys, *args, "--n", "1000", "--workers", "64", "--out", str(w64))[0] == 0
         assert asked == [2]
         assert sha256_file(w1) == sha256_file(w64)
+        # fewer rows than 4 per worker still shard: 3 shards of at most 2 rows
+        s1, s4 = tmp_path / "s1.csv", tmp_path / "s4.csv"
+        assert run_cli(capsys, *args, "--n", "5", "--workers", "1", "--out", str(s1))[0] == 0
+        assert run_cli(capsys, *args, "--n", "5", "--workers", "4", "--out", str(s4))[0] == 0
+        assert asked == [2, 2]
+        assert sha256_file(s1) == sha256_file(s4)
 
     def test_usable_cpus_fall_back_to_the_cpu_count_without_affinity(self, monkeypatch):
         from gbmtails import cli
@@ -225,6 +243,7 @@ class TestSimulate:
         (("--mode", "gbm", "--t", "1", "--workers", "0"), "workers"),
         (("--mode", "killed", "--nu", "0.01", "--t", "1"), "--t"),
         (("--mode", "gbm", "--t", "1", "--nu", "0.01"), "--nu"),
+        (("--mode", "gbm", "--t", "1", "--workers", "2"), "--workers"),
     ])
     def test_rejects_options_it_cannot_honour(self, capsys, tmp_path, extra, named):
         out_path = tmp_path / "x.csv"
@@ -389,20 +408,15 @@ class TestHiaAndSweep:
         assert pooled == serial
         assert sweep_csv_text(pooled) == sweep_csv_text(serial)
 
-    def test_sweep_below_the_pool_floor_starts_no_pool(self, capsys, tmp_path, monkeypatch):
+    def test_sweep_on_one_cpu_starts_no_pool(self, capsys, tmp_path, monkeypatch):
         from gbmtails import cli
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a sweep below the floor started a pool")
+            raise AssertionError("a sweep on one usable CPU started a pool")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        args = ["sweep", "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "15"]
-        monkeypatch.setattr(cli, "_SWEEP_POOL_MIN_AGENT_STEPS", 3 * 2 * 40 * 16 + 1)
-        assert run_cli(capsys, *args, "--out", str(tmp_path / "s.csv"))[0] == 0
-        # one usable CPU runs serially whatever the size
-        monkeypatch.setattr(cli, "_SWEEP_POOL_MIN_AGENT_STEPS", 0)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        args = ["sweep", "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "15"]
         assert run_cli(capsys, *args, "--out", str(tmp_path / "one_cpu.csv"))[0] == 0
 
     @pytest.mark.parametrize("command", [
@@ -877,3 +891,24 @@ def test_commands_run_and_write_the_same_bytes_without_scipy(capsys, tmp_path, m
         assert run_cli(capsys, *argv)[0] == 0
     for name in ("k.csv", "f.json", "h.csv"):
         assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """Each ``gbmtails ...`` line of README's bash blocks, continuations joined and
+    ``#`` comments dropped, as its argument list."""
+    with open(README) as fh:
+        blocks = re.findall(r"^```bash\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    words = [shlex.split(line, comments=True) for line in lines]
+    return [argv[1:] for argv in words if argv[:1] == ["gbmtails"]]
+
+
+def test_readme_cli_examples_parse():
+    examples = readme_cli_examples()
+    assert len(examples) == 9
+    parser = build_parser()
+    for argv in examples:
+        assert parser.parse_args(argv).command == argv[0]

@@ -13,6 +13,7 @@ from gbmtails.fitting import (
     SampleCsvError,
     SampleSet,
     _golden_max,
+    _profile_loglik,
     compare_models,
     default_hill_k,
     fit_dpareto_mle,
@@ -200,6 +201,24 @@ class TestDoubleParetoFit:
                 fit_dpareto_mle(SampleSet(x))
             report = compare_models(SampleSet(x))
         assert "equal float64 logs" in report.errors["double_pareto"]
+
+    def test_profile_is_flat_between_neighbouring_values(self):
+        # k_lo + k_hi = n inside a gap, so the centre's log terms cancel: the
+        # golden-section refinement between two data values searches only
+        # rounding noise, while m1 still moves with the centre
+        truth = DoubleParetoDist(center=1.0, m1=1.5, m2=0.8)
+        x = np.sort(dpareto_samples(truth, 500, seed=4))
+        logs = np.log(x)
+        n, k_lo = x.size, 250
+        below, above = float(np.sum(logs[:k_lo])), float(np.sum(logs[k_lo:]))
+        lls, m1s = [], []
+        for t in (0.25, 0.5, 0.75):
+            log_c = (1.0 - t) * logs[k_lo - 1] + t * logs[k_lo]
+            lo, hi = k_lo * log_c - below, above - (n - k_lo) * log_c
+            lls.append(_profile_loglik(n, k_lo, n - k_lo, lo, hi, log_c, math.log))
+            m1s.append((n - k_lo) / hi)
+        assert lls == pytest.approx([lls[0]] * 3, rel=1e-12, abs=0)
+        assert m1s[0] < m1s[1] < m1s[2]
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

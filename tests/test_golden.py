@@ -129,10 +129,11 @@ def test_sweep(tmp_path, capsys):
 
 
 def test_sweep_in_a_process_pool(tmp_path, capsys, monkeypatch):
-    """Past the size floor the runs go to processes; bytes, stdout and manifest keep."""
+    """With 2 usable CPUs the runs go to processes; bytes, stdout and manifest keep."""
     from gbmtails import cli
 
     serial = tmp_path / "serial.csv"
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert main([*SWEEP, "--out", str(serial)]) == 0
     capsys.readouterr()
     pools = []
@@ -143,7 +144,6 @@ def test_sweep_in_a_process_pool(tmp_path, capsys, monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_SWEEP_POOL_MIN_AGENT_STEPS", 0)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out = tmp_path / "sw.csv"
     assert main([*SWEEP, "--out", str(out)]) == 0

@@ -44,11 +44,10 @@ def test_every_wrapped_name_resolves():
 # In a fresh interpreter, replaces each named gbmtails.cli attribute with a
 # counting wrapper before any command runs, as the tracer does, then runs each
 # CLI argument list and prints {command: [wrapped names it called]}. Every
-# sweep here is past the pool's size floor and sees two usable CPUs.
+# sweep here sees two usable CPUs, so it runs in the pool.
 _COUNT_CALLS = """
 import contextlib, functools, io, json, sys
 import gbmtails.cli as cli
-cli._SWEEP_POOL_MIN_AGENT_STEPS = 0
 cli._usable_cpus = lambda: 2
 targets, commands = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 called = set()
