@@ -6,10 +6,10 @@ merged parameters, the master seed, the package version, the Python and
 numpy versions the output bytes rest on, and a sha256 digest per output
 file; ``hia`` and ``sweep`` manifests also record ``clamped``, the agent
 updates raised to the floor (summed over a sweep's runs). ``gbmtails
-replay <manifest>`` re-executes the recorded run into a scratch directory
-and checks both the regenerated and the on-disk files against the recorded
-digests, resolving relative paths against the directory the run was made
-in; replay never writes the recorded files or the manifest, and ignores
+replay <manifest>`` re-executes the recorded run, hashes the regenerated
+outputs in memory, and checks both them and the on-disk files against the
+recorded digests, resolving relative paths against the directory the run was
+made in; replay writes no file, needs no temp directory, and ignores
 ``clamped``. It warns on stderr for each library whose version differs
 from the recorded one, but only the digests decide its exit code.
 
@@ -39,7 +39,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
@@ -47,7 +46,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .serialization import atomic_write, atomic_write_text, dumps, sha256_file, write_sample_csv_fh
+from .serialization import (atomic_write, atomic_write_text, dumps, sha256_file, sha256_written,
+                            write_sample_csv_fh, write_text)
 
 # The names executors call from modules that not every command needs, by
 # module. A command's COMMANDS entry names the modules it runs; ``_load`` binds
@@ -104,7 +104,7 @@ class ReplayMismatchError(Exception):
 @dataclass
 class Artifact:
     path: str
-    write: Callable  # called with an open text file handle
+    write: Callable  # called with a binary file handle open for writing
 
 
 @dataclass
@@ -256,13 +256,13 @@ def _exec_sweep(p: dict) -> CommandResult:
                        map=_process_map if _usable_cpus() >= 2 else map)
     text = sweep_csv_text(result)
     doc = {"varied": result.varied, "spearman_rho": result.spearman_rho}
-    artifact = Artifact(p["out"], lambda fh: fh.write(text))
+    artifact = Artifact(p["out"], lambda fh: write_text(fh, text))
     return CommandResult(stdout_text=dumps(doc), artifacts=[artifact],
                          record={"clamped": result.clamped})
 
 
 def _text_result(text: str, out) -> CommandResult:
-    artifacts = [Artifact(out, lambda fh: fh.write(text))] if out else []
+    artifacts = [Artifact(out, lambda fh: write_text(fh, text))] if out else []
     return CommandResult(stdout_text=text, artifacts=artifacts)
 
 
@@ -508,14 +508,8 @@ def _run_replay(args: argparse.Namespace) -> int:
     os.chdir(run_dir)
     try:
         result = _dispatch(command, params)
-        # Regenerate into a scratch directory: replay only checks, it never
-        # writes the recorded paths or the manifest.
-        produced = {}
-        with tempfile.TemporaryDirectory() as scratch:
-            for i, art in enumerate(result.artifacts):
-                regenerated = os.path.join(scratch, str(i))
-                atomic_write(regenerated, art.write)
-                produced[art.path] = sha256_file(regenerated)
+        # Hash the regenerated bytes in memory: replay only checks, it writes nothing.
+        produced = {art.path: sha256_written(art.write) for art in result.artifacts}
         recorded = {o["path"]: o["sha256"] for o in outputs}
         not_reproduced = sorted(
             path

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .serialization import write_float_rows
+from .serialization import write_float_rows, write_text
 
 if TYPE_CHECKING:  # annotations only: solving exponents needs no sampler
     from .killing import KillSchedule
@@ -409,7 +409,7 @@ def exponent_curves(r: float, nu: float, alpha_grid) -> np.ndarray:
 
 
 def exponent_curves_csv_text(rows: np.ndarray) -> str:
-    fh = io.StringIO()
-    fh.write(EXPONENT_CURVE_CSV_HEADER + "\n")
+    fh = io.BytesIO()
+    write_text(fh, EXPONENT_CURVE_CSV_HEADER + "\n")
     write_float_rows(fh, rows)
-    return fh.getvalue()
+    return fh.getvalue().decode("ascii")  # figure1 prints it as well as writing it

@@ -18,7 +18,7 @@ import numpy as np
 
 from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 from .sde import GbmParams, levels_from_logs, terminal_log_from_normals
-from .serialization import BATCH_CSV_HEADER, atomic_write, write_float_rows
+from .serialization import BATCH_CSV_HEADER, atomic_write, write_float_rows, write_text
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def write_batch_csv_fh(fh, batch: np.ndarray) -> None:
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != 2:
         raise ValueError("batch must have shape (n, 2)")
-    fh.write(BATCH_CSV_HEADER + "\n")
+    write_text(fh, BATCH_CSV_HEADER + "\n")
     write_float_rows(fh, batch)
 
 

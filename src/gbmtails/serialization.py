@@ -1,11 +1,14 @@
 """Deterministic serialization helpers.
 
 JSON output uses sorted keys and fixed 17-significant-digit float
-rendering so that identical inputs produce identical bytes; file writes go
-through a temporary file plus atomic rename so failed runs never leave
-partial artifacts behind. CSV float rows come from write_float_rows, whose
-exact integer kernel gives '%.17g''s bytes for 1e-4 <= |x| < 2**51; a row
-with any other field is formatted with '%'.
+rendering so that identical inputs produce identical bytes. Writers take a
+binary file handle, and write_text alone encodes text: as UTF-8, a lone
+surrogate as the byte it escapes, so artifacts and manifests are UTF-8
+whatever the locale and a path is written as the bytes it was given. File
+writes go through a temporary file plus atomic rename so failed runs never
+leave partial artifacts behind. CSV float rows come from write_float_rows,
+whose exact integer kernel gives '%.17g''s bytes for 1e-4 <= |x| < 2**51; a
+row with any other field is formatted with '%'.
 """
 
 from __future__ import annotations
@@ -179,9 +182,9 @@ def _field_words(x: np.ndarray):
     return (head & masks[..., 0], w1 & masks[..., 1], w2 & masks[..., 2], dot, frac1, frac2), ok
 
 
-def _percent_rows(rows: np.ndarray) -> str:
+def _percent_rows(rows: np.ndarray) -> bytes:
     """The rows the kernel cannot take, formatted with ``%``."""
-    return (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    return (b",".join([b"%.17g"] * rows.shape[1]) + b"\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
 def write_float_rows(fh, rows: np.ndarray) -> None:
@@ -212,7 +215,7 @@ def write_float_rows(fh, rows: np.ndarray) -> None:
             if bad[a]:
                 fh.write(_percent_rows(chunk[a:b]))
             else:
-                fh.write(text[a * row_bytes : b * row_bytes].translate(None, b"\0").decode("ascii"))
+                fh.write(text[a * row_bytes : b * row_bytes].translate(None, b"\0"))
 
 
 # Headers of the two sample CSV schemas: one value per row, and a killed batch.
@@ -222,7 +225,7 @@ BATCH_CSV_HEADER = "kill_time,state"
 
 def write_sample_csv_fh(fh, values: np.ndarray) -> None:
     """Write 1-d ``values`` in the one-column ``value`` schema, one '%.17g' row each."""
-    fh.write(SAMPLE_CSV_HEADER + "\n")
+    write_text(fh, SAMPLE_CSV_HEADER + "\n")
     write_float_rows(fh, values)
 
 
@@ -232,8 +235,8 @@ _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def atomic_write(path, write) -> None:
-    """Write whole file or nothing: ``write(fh)`` fills a temp file in the
-    target dir, which is then renamed over ``path``.
+    """Write whole file or nothing: ``write(fh)`` fills a binary temp file in
+    the target dir, which is then renamed over ``path``.
 
     The temp file is created with mode 0o666 less the umask, as a plain
     ``open(path, "w")`` would create ``path``.
@@ -243,7 +246,7 @@ def atomic_write(path, write) -> None:
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, _TEMP_FLAGS, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -254,8 +257,13 @@ def atomic_write(path, write) -> None:
         raise
 
 
+def write_text(fh, text: str) -> None:
+    """UTF-8, lone surrogates as the bytes they escape: UTF-8 mode's rule for argv."""
+    fh.write(text.encode("utf-8", "surrogateescape"))
+
+
 def atomic_write_text(path, text: str) -> None:
-    atomic_write(path, lambda fh: fh.write(text))
+    atomic_write(path, lambda fh: write_text(fh, text))
 
 
 def sha256_file(path) -> str:
@@ -264,3 +272,23 @@ def sha256_file(path) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+class _Sha256Sink:
+    """A binary sink that keeps only a running sha256 and a byte count."""
+
+    def __init__(self):
+        self.digest, self.size = hashlib.sha256(), 0
+
+    def write(self, data) -> None:
+        self.digest.update(data)
+        self.size += len(data)
+
+    def tell(self) -> int:
+        return self.size
+
+
+def sha256_written(write) -> str:
+    """sha256 of the bytes ``write(fh)`` writes, computed in memory."""
+    write(sink := _Sha256Sink())
+    return sink.digest.hexdigest()

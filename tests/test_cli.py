@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -806,6 +807,26 @@ class TestConfigAndReplay:
         assert code == 0
         assert sha256_file(out_path) == digest
 
+    def test_replay_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        """Replay hashes what it regenerates in memory: it needs no temp
+        directory and leaves the run directory as it was."""
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, "simulate", "--mode", "killed", "--r", "0.05",
+                             "--alpha", "0.2", "--nu", "0.01", "--n", "2000", "--seed", "9",
+                             "--out", "k.csv")
+        assert code == 0
+
+        def listing():
+            return sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
+                          for e in os.scandir(tmp_path))
+
+        before = listing()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        code, out, err = run_cli(capsys, "replay", "k.csv.manifest.json")
+        assert code == 0, err
+        assert json.loads(out)["reproduced"] is True
+        assert listing() == before
+
     def test_replay_detects_mismatch(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"
         run_cli(capsys, "figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min",
@@ -891,6 +912,33 @@ def test_commands_run_and_write_the_same_bytes_without_scipy(capsys, tmp_path, m
         assert run_cli(capsys, *argv)[0] == 0
     for name in ("k.csv", "f.json", "h.csv"):
         assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["é.csv", b"x\xe9.csv"], ids=["non_ascii", "not_utf8"])
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path, name):
+    """``fit`` writes its JSON and manifest as the same bytes under an ASCII
+    locale as in UTF-8 mode, and records the input path as the bytes it was
+    given, even when they are not UTF-8."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gbmtails.__file__)))
+    values = np.exp(np.random.default_rng(0).standard_normal(200))
+    runs = {"ascii": (["-X", "utf8=0"], {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}),
+            "utf8": (["-X", "utf8"], {})}  # interpreter flags and environment
+    written = {}
+    for label, (flags, env) in runs.items():
+        run_dir = tmp_path / label
+        run_dir.mkdir()
+        with open(os.path.join(os.fsencode(run_dir), os.fsencode(name)), "wb") as fh:
+            fh.write(b"value\n" + b"".join(b"%.17g\n" % v for v in values))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "gbmtails", "fit", name, "--out", "f.json"],
+            cwd=run_dir, env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written[label] = [(run_dir / f).read_bytes() for f in ("f.json", "f.json.manifest.json")]
+    assert written["ascii"] == written["utf8"]
+    report, manifest = written["utf8"]
+    assert b'"source": "%s"' % os.fsencode(name) in report
+    assert b'"input": "%s"' % os.fsencode(name) in manifest
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")

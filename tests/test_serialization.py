@@ -101,7 +101,7 @@ class TestAtomicWrite:
         path.write_text("old\n")
 
         def write(fh):
-            fh.write("partial")
+            fh.write(b"partial")
             raise RuntimeError("writer failed")
 
         with pytest.raises(RuntimeError, match="writer failed"):
@@ -122,6 +122,11 @@ class TestAtomicWrite:
         assert os.stat(tmp_path / "out.txt").st_mode & 0o777 == mode
         assert os.stat(tmp_path / "plain.txt").st_mode & 0o777 == mode
 
+    def test_text_is_written_as_utf8(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "é\n")
+        assert path.read_bytes() == b"\xc3\xa9\n"
+
     def test_sha256_matches_content(self, tmp_path):
         import hashlib
 
@@ -137,12 +142,12 @@ class TestWriteFloatRows:
         rows = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-320, 300, (n, 2))
         special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308]
         rows.ravel()[: min(rows.size, len(special))] = special[: rows.size]
-        fh = io.StringIO()
+        fh = io.BytesIO()
         write_float_rows(fh, rows)
-        assert fh.getvalue() == "".join("%.17g,%.17g\n" % (a, b) for a, b in rows)
-        fh = io.StringIO()
+        assert fh.getvalue().decode("ascii") == "".join("%.17g,%.17g\n" % (a, b) for a, b in rows)
+        fh = io.BytesIO()
         write_float_rows(fh, rows[:, 1])
-        assert fh.getvalue() == "".join("%.17g\n" % v for v in rows[:, 1])
+        assert fh.getvalue().decode("ascii") == "".join("%.17g\n" % v for v in rows[:, 1])
 
 
 def _per_row(rows) -> str:
@@ -154,9 +159,9 @@ def _per_row(rows) -> str:
 
 
 def _written(rows) -> str:
-    fh = io.StringIO()
+    fh = io.BytesIO()
     write_float_rows(fh, rows)
-    return fh.getvalue()
+    return fh.getvalue().decode("ascii")
 
 
 def _ties() -> np.ndarray:

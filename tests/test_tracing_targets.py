@@ -7,7 +7,9 @@ read with ``ast``, so nothing under perfbench/ is imported or written here.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -121,3 +123,25 @@ def test_wrappers_set_on_cli_before_a_command_are_what_it_calls(tmp_path):
     assert [t for t in targets if t not in calls[_CALLED_BY[t]]] == []
     assert "ProcessPoolExecutor" in calls["sweep_pooled"]  # the sweep's pool is the same one
     assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "k2.csv").read_bytes()
+
+
+def test_batch_csv_writer_leaves_its_handle_at_the_bytes_written(tmp_path, monkeypatch):
+    """The tracer counts ``killing.csv_bytes`` as ``fh.tell()`` after
+    ``write_batch_csv_fh``. On ``simulate`` and on ``replay``, which hashes
+    the CSV in memory, that must be the size of the CSV on disk."""
+    import gbmtails.cli as cli
+
+    told = []
+    write = cli.write_batch_csv_fh
+
+    def recording(fh, batch):
+        write(fh, batch)
+        told.append(fh.tell())
+
+    monkeypatch.setattr(cli, "write_batch_csv_fh", recording)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*_KILLED, "--out", "k.csv"]) == 0
+        assert cli.main(["replay", "k.csv.manifest.json"]) == 0
+    size = (tmp_path / "k.csv").stat().st_size
+    assert told == [size, size]
