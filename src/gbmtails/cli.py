@@ -1,17 +1,18 @@
 """Command-line front door.
 
-Every file-producing command writes its artifacts atomically and drops a
-run manifest (``<out>.manifest.json``) recording the command, the fully
-merged parameters, the master seed, the package version, the Python and
-numpy versions the output bytes rest on, and a sha256 digest per output
-file; ``hia`` and ``sweep`` manifests also record ``clamped``, the agent
-updates raised to the floor (summed over a sweep's runs). ``gbmtails
-replay <manifest>`` re-executes the recorded run, hashes the regenerated
-outputs in memory, and checks both them and the on-disk files against the
-recorded digests, resolving relative paths against the directory the run was
-made in; replay writes no file, needs no temp directory, and ignores
-``clamped``. It warns on stderr for each library whose version differs
-from the recorded one, but only the digests decide its exit code.
+Every file-producing command writes its artifacts atomically and drops a run
+manifest (``<out>.manifest.json``) recording the command, the fully merged
+parameters, the master seed, the package version, the Python and numpy
+versions the output bytes rest on, and a sha256 digest per output file;
+``hia`` and ``sweep`` manifests also record ``clamped``, the agent updates
+raised to the floor (summed over a sweep's runs). ``gbmtails replay
+<manifest>`` re-executes the recorded run, hashes the regenerated outputs in
+memory, and checks both them and the on-disk files against the recorded
+digests, resolving relative paths against the directory the run was made in;
+replay writes no file, needs no temp directory, and ignores ``clamped``. It
+warns on stderr for each library whose version differs from the recorded one,
+but only the digests decide its exit code. Files it reads are decoded as argv
+is (``serialization.open_text``), so a manifest replays under any locale.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 invariant violation (e.g. a replay that fails to reproduce).
@@ -46,8 +47,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .serialization import (atomic_write, atomic_write_text, dumps, sha256_file, sha256_written,
-                            write_sample_csv_fh, write_text)
+from .serialization import (atomic_write, atomic_write_text, dumps, open_text, sha256_file,
+                            sha256_written, write_sample_csv_fh, write_text)
 
 # The names executors call from modules that not every command needs, by
 # module. A command's COMMANDS entry names the modules it runs; ``_load`` binds
@@ -397,7 +398,7 @@ def _params(command: str, given, source: str) -> dict:
 
 
 def _read_json_object(path: str, what: str) -> dict:
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

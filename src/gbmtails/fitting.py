@@ -23,7 +23,7 @@ import numpy as np
 
 from ._ndtr import ndtr
 from .dpareto import DoubleParetoDist, dpareto_cdf
-from .serialization import BATCH_CSV_HEADER, SAMPLE_CSV_HEADER, atomic_write, write_sample_csv_fh
+from .serialization import BATCH_CSV_HEADER, SAMPLE_CSV_HEADER, atomic_write, open_text, write_sample_csv_fh
 
 MODEL_DOUBLE_PARETO = "double_pareto"
 MODEL_LOGNORMAL = "lognormal"
@@ -88,13 +88,13 @@ _SAMPLE_COLUMNS = {SAMPLE_CSV_HEADER: (None, "sample"), BATCH_CSV_HEADER: (1, "s
 def read_sample_csv(path, source: str | None = None) -> SampleSet:
     """Load a one-column sample CSV or the state column of a killed-batch CSV.
 
-    The rows are first parsed by ``np.loadtxt``; that result is kept only
-    when it is one column of finite positive values. Any other outcome
-    falls through to the line-by-line validator, which decides what is
-    accepted and names the offending lines.
+    The rows are first parsed by ``np.loadtxt``, kept only when they make one
+    column of finite positive values; else the line-by-line validator decides
+    what is accepted and names the offending lines. A killed batch's
+    ``kill_time`` and any third field are never parsed (ROADMAP item 7).
     """
     source = source if source is not None else str(path)
-    with open(path, "r") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         if header not in _SAMPLE_COLUMNS:
             raise SampleCsvError(
@@ -108,12 +108,10 @@ def read_sample_csv(path, source: str | None = None) -> SampleSet:
                 values = np.loadtxt(fh, delimiter=",", usecols=column, comments=None, ndmin=2)
         except ValueError:
             values = np.empty((0, 0))
-    if values.size and values.shape[1] == 1 and np.all(np.isfinite(values) & (values > 0)):
-        return SampleSet(values[:, 0], source=source)
-
-    bad: list[tuple[int, str]] = []
-    rows: list[float] = []
-    with open(path, "r") as fh:
+        if values.size and values.shape[1] == 1 and np.all(np.isfinite(values) & (values > 0)):
+            return SampleSet(values[:, 0], source=source)
+        bad, rows = [], []  # (line, why) pairs and accepted values
+        fh.seek(0)  # rewind: the line-numbered validator rereads every row
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             text = line.strip()

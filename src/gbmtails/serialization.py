@@ -1,14 +1,15 @@
 """Deterministic serialization helpers.
 
-JSON output uses sorted keys and fixed 17-significant-digit float
-rendering so that identical inputs produce identical bytes. Writers take a
-binary file handle, and write_text alone encodes text: as UTF-8, a lone
-surrogate as the byte it escapes, so artifacts and manifests are UTF-8
-whatever the locale and a path is written as the bytes it was given. File
-writes go through a temporary file plus atomic rename so failed runs never
-leave partial artifacts behind. CSV float rows come from write_float_rows,
-whose exact integer kernel gives '%.17g''s bytes for 1e-4 <= |x| < 2**51; a
-row with any other field is formatted with '%'.
+JSON output uses sorted keys and fixed 17-significant-digit float rendering
+so that identical inputs produce identical bytes. Writers take a binary file
+handle, and write_text alone encodes text: as UTF-8, a lone surrogate as the
+byte it escapes, so artifacts and manifests are UTF-8 whatever the locale
+and a path is written as the bytes it was given. open_text reads every file
+back the way argv is decoded, so a manifest replays under any locale. Files
+are written to a temporary file and renamed, so a failed run leaves no
+partial artifact. CSV float rows come from write_float_rows, whose exact
+integer kernel gives '%.17g''s bytes for 1e-4 <= |x| < 2**51; a row with any
+other field is formatted with '%'.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import enum
 import hashlib
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -260,6 +262,11 @@ def atomic_write(path, write) -> None:
 def write_text(fh, text: str) -> None:
     """UTF-8, lone surrogates as the bytes they escape: UTF-8 mode's rule for argv."""
     fh.write(text.encode("utf-8", "surrogateescape"))
+
+
+def open_text(path):
+    """Open ``path`` for reading, decoded as argv is: write_text's rule run backwards."""
+    return open(path, encoding=sys.getfilesystemencoding(), errors=sys.getfilesystemencodeerrors())
 
 
 def atomic_write_text(path, text: str) -> None:

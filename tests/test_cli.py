@@ -525,7 +525,7 @@ class TestValueFitInput:
 
     def load(self, tmp_path, text):
         path = tmp_path / "v.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         return read_sample_csv(str(path))
 
     @pytest.mark.parametrize(
@@ -555,6 +555,7 @@ class TestValueFitInput:
             ("1.5\n-2\n", [3]),
             ("1.5\ninf\n", [3]),
             ("1.5\nnan\n", [3]),
+            ("1.5\n2.5\udce9\n", [3]),  # an undecodable byte
         ],
     )
     def test_rejected_rows_are_named(self, tmp_path, body, lines):
@@ -918,27 +919,46 @@ def test_commands_run_and_write_the_same_bytes_without_scipy(capsys, tmp_path, m
 def test_artifacts_are_utf8_whatever_the_locale(tmp_path, name):
     """``fit`` writes its JSON and manifest as the same bytes under an ASCII
     locale as in UTF-8 mode, and records the input path as the bytes it was
-    given, even when they are not UTF-8."""
+    given, even when they are not UTF-8. What is written under either locale
+    is read under both: a ``--config`` naming the input and a non-ASCII
+    ``--out`` runs, and every manifest replays."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gbmtails.__file__)))
     values = np.exp(np.random.default_rng(0).standard_normal(200))
     runs = {"ascii": (["-X", "utf8=0"], {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}),
             "utf8": (["-X", "utf8"], {})}  # interpreter flags and environment
+
+    def gbmtails_under(label, run_dir, *argv):
+        flags, env = runs[label]
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "gbmtails", *argv],
+            cwd=run_dir, env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True,
+        )
+
     written = {}
-    for label, (flags, env) in runs.items():
+    for label in runs:
         run_dir = tmp_path / label
         run_dir.mkdir()
         with open(os.path.join(os.fsencode(run_dir), os.fsencode(name)), "wb") as fh:
             fh.write(b"value\n" + b"".join(b"%.17g\n" % v for v in values))
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "gbmtails", "fit", name, "--out", "f.json"],
-            cwd=run_dir, env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True,
-        )
+        proc = gbmtails_under(label, run_dir, "fit", name, "--out", "f.json")
         assert proc.returncode == 0, proc.stderr
         written[label] = [(run_dir / f).read_bytes() for f in ("f.json", "f.json.manifest.json")]
     assert written["ascii"] == written["utf8"]
     report, manifest = written["utf8"]
     assert b'"source": "%s"' % os.fsencode(name) in report
     assert b'"input": "%s"' % os.fsencode(name) in manifest
+
+    # f.json's bytes are the same under either locale, so one ö.json stands for both
+    (tmp_path / "ascii" / "c.json").write_bytes(
+        b'{"input": "%s", "out": "%s"}' % (os.fsencode(name), "ö.json".encode()))
+    proc = gbmtails_under("ascii", tmp_path / "ascii", "fit", "--config", "c.json")
+    assert proc.returncode == 0, proc.stderr
+    replays = [(made, "f.json.manifest.json") for made in runs] + [("ascii", "ö.json.manifest.json")]
+    for made, manifest_name in replays:
+        for label in runs:
+            proc = gbmtails_under(label, tmp_path / made, "replay", manifest_name)
+            assert proc.returncode == 0, (made, manifest_name, label, proc.stderr)
+            assert b'"reproduced": true' in proc.stdout
 
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")

@@ -1,3 +1,5 @@
+import ast
+import glob
 import io
 import json
 import math
@@ -269,3 +271,40 @@ class TestFloatKernel:
         wide[::2, ::2] = rows
         assert _written(wide[::2, ::2]) == native
         assert _written(rows[:, 2]) == _written(np.ascontiguousarray(rows[:, 2]))
+
+
+def _text_opens(path: str) -> list[str]:
+    """``file:line`` of each builtin ``open(...)`` in ``path`` whose mode is
+    not a binary string literal, outside ``serialization.open_text``."""
+    with open(path, "rb") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    allowed = set()
+    if os.path.basename(path) == "serialization.py":
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "open_text":
+                allowed.update(id(n) for n in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open") or id(node) in allowed:
+            continue
+        mode = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+        if not (mode and isinstance(mode[0], ast.Constant) and "b" in str(mode[0].value)):
+            found.append(f"{os.path.basename(path)}:{node.lineno}")
+    return found
+
+
+def test_every_text_read_goes_through_open_text():
+    """A text-mode ``open`` elsewhere in the package would decode in the
+    locale's codec; ``open_text`` decodes as argv is, whatever the locale."""
+    package = os.path.dirname(os.path.abspath(serialization.__file__))
+    sources = sorted(glob.glob(os.path.join(package, "*.py")))
+    assert os.path.join(package, "serialization.py") in sources
+    assert [where for path in sources for where in _text_opens(path)] == []
+
+
+def test_text_opens_finds_a_text_mode_open(tmp_path):
+    path = tmp_path / "reader.py"
+    path.write_text('open(p, "rb")\nopen(p, mode="wb")\nopen(p)\nopen(p, "r")\nopen(p, m)\n'
+                    'def open_text(p):\n    return open(p)\n')
+    assert _text_opens(str(path)) == ["reader.py:3", "reader.py:4", "reader.py:5", "reader.py:7"]
