@@ -23,7 +23,8 @@ import numpy as np
 
 from ._ndtr import ndtr
 from .dpareto import DoubleParetoDist, dpareto_cdf
-from .serialization import BATCH_CSV_HEADER, SAMPLE_CSV_HEADER, atomic_write, open_text, write_sample_csv_fh
+from .serialization import (BATCH_CSV_HEADER, BLOCK_ROWS, SAMPLE_CSV_HEADER, atomic_write,
+                            open_text, write_sample_csv_fh)
 
 MODEL_DOUBLE_PARETO = "double_pareto"
 MODEL_LOGNORMAL = "lognormal"
@@ -223,6 +224,12 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
     law, so fit the pareto_tail model instead. Raises DegenerateInputError
     when distinct values share a float64 log, leaving a candidate no
     log distance on one side.
+
+    The profile runs BLOCK_ROWS candidates at a time, each block checked for
+    equal logs first; elementwise work has the same bits in any block.
+    ``prefix`` stays one cumsum, since a blocked cumsum rounds differently,
+    and ``starts`` and ``ll`` stay full length, so the tie window over the
+    global maximum and the tie-break see every candidate.
     """
     x, logs = samples.sorted, samples.logs
     n = x.size
@@ -241,22 +248,25 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
             "no candidate center has data on both sides; fit the pareto_tail model"
         )
     first, right = starts[:-1], starts[1:]
-    log_u = logs[first]
-    n_hi = n - right
-    s_lo = first * log_u - prefix[first - 1]
-    s_hi = (total - prefix[right - 1]) - n_hi * log_u
-    if np.any(s_lo <= 0.0) or np.any(s_hi <= 0.0):
-        raise DegenerateInputError(
-            "distinct values with equal float64 logs leave a candidate center "
-            "no log distance on one side"
-        )
-    ll = _profile_loglik(n, first, n_hi, s_lo, s_hi, log_u, np.log)
+    ll = np.empty(first.size)
+    for a in range(0, ll.size, BLOCK_ROWS):
+        block = slice(a, a + BLOCK_ROWS)
+        k_lo, k_hi = first[block], n - right[block]
+        log_u = logs[k_lo]
+        s_lo = k_lo * log_u - prefix[k_lo - 1]
+        s_hi = (total - prefix[right[block] - 1]) - k_hi * log_u
+        if np.any(s_lo <= 0.0) or np.any(s_hi <= 0.0):
+            raise DegenerateInputError(
+                "distinct values with equal float64 logs leave a candidate center "
+                "no log distance on one side"
+            )
+        ll[block] = _profile_loglik(n, k_lo, k_hi, s_lo, s_hi, log_u, np.log)
     # the profile can be exactly flat (log-equispaced data); break ulp-level
     # ties toward the most balanced split so symmetric samples keep their
     # center, without disturbing genuinely distinct candidates
     ll_max = float(np.max(ll))
     tied = np.flatnonzero(ll >= ll_max - 64.0 * np.spacing(max(1.0, abs(ll_max))))
-    best = int(tied[np.argmin(np.abs(first[tied] - n_hi[tied]))])
+    best = int(tied[np.argmin(np.abs(first[tied] - (n - right[tied])))])
 
     def split(c: float) -> tuple[int, int]:
         """Number of points below c, and index of the first point above it."""
@@ -363,13 +373,20 @@ class FitReport:
         return doc
 
 
-def _ks_statistic(model_cdf: np.ndarray) -> float:
-    """KS distance of the model CDF, evaluated at the sorted sample, from the ECDF."""
-    n = model_cdf.size
-    grid = np.arange(1, n + 1, dtype=float) / n
-    d_plus = float(np.max(grid - model_cdf))
-    d_minus = float(np.max(model_cdf - (grid - 1.0 / n)))
-    return max(d_plus, d_minus, 0.0)
+def _ks_statistic(cdf, x: np.ndarray) -> float:
+    """KS distance of the model CDF ``cdf`` from the ECDF of the sorted sample ``x``.
+
+    ``cdf`` is called on BLOCK_ROWS values at a time and the ECDF grid is
+    built per block, so no temporary is sample-length; a running maximum
+    is exact, so the distance has the same bits in any block.
+    """
+    n, d = x.size, 0.0
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        model_cdf = cdf(x[lo:hi])
+        grid = np.arange(lo + 1, hi + 1, dtype=float) / n
+        d = max(d, float(np.max(grid - model_cdf)), float(np.max(model_cdf - (grid - 1.0 / n))))
+    return d
 
 
 def compare_models(
@@ -414,13 +431,13 @@ def _fit_one(model: str, samples: SampleSet, hill_k) -> ModelFit:
     if model == MODEL_DOUBLE_PARETO:
         center, m1, m2, ll = fit_dpareto_mle(samples)
         dist = DoubleParetoDist(center=center, m1=m1, m2=m2)
-        ks = _ks_statistic(dpareto_cdf(dist, x))
+        ks = _ks_statistic(lambda v: dpareto_cdf(dist, v), x)
         params = {"center": center, "m1": m1, "m2": m2}
     elif model == MODEL_LOGNORMAL:
         mu, sigma, ll = fit_lognormal(samples)
         if sigma == 0.0:
             raise DegenerateInputError("zero log-variance: point-mass lognormal fit")
-        ks = _ks_statistic(ndtr((samples.logs - mu) / sigma))
+        ks = _ks_statistic(lambda logs: ndtr((logs - mu) / sigma), samples.logs)
         params = {"mu": mu, "sigma": sigma}
     elif model == MODEL_PARETO_TAIL:
         k = default_hill_k(n) if hill_k is None else hill_k
@@ -431,7 +448,7 @@ def _fit_one(model: str, samples: SampleSet, hill_k) -> ModelFit:
             + n * exponent * math.log(xmin)
             - (exponent + 1.0) * np.sum(samples.logs)
         )
-        ks = _ks_statistic(1.0 - (xmin / x) ** exponent)
+        ks = _ks_statistic(lambda v: 1.0 - (xmin / v) ** exponent, x)
         params = {"exponent": exponent, "xmin": xmin, "hill_k": float(k)}
     else:  # pragma: no cover
         raise ValueError(f"unknown model {model!r}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._ndtr import ndtri
+from .serialization import BLOCK_ROWS
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -117,8 +118,6 @@ _PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
-# Streams per array pass; bounds the working set of ``take``.
-_TAKE_CHUNK = 1 << 14
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
@@ -174,8 +173,8 @@ class StreamUniformBlock:
         if start + n > (1 << 64):
             raise ValueError("stream ids must stay below 2**64")
         out = np.empty((n, self.width))
-        for lo in range(0, n, _TAKE_CHUNK):
-            hi = min(lo + _TAKE_CHUNK, n)
+        for lo in range(0, n, BLOCK_ROWS):  # streams per array pass
+            hi = min(lo + BLOCK_ROWS, n)
             ids = np.arange(hi - lo, dtype=np.uint64)
             ids += np.uint64(start + lo)
             # numpy's Philox bumps the counter before its first block

@@ -81,8 +81,11 @@ def dumps(obj) -> str:
     return canonical_json(obj) + "\n"
 
 
-# Rows per chunk of write_float_rows; bounds its temporaries.
-_FORMAT_ROWS = 16384
+# Rows per block of every pass over a sample or a batch: Philox draws, the
+# killed kernel, the double-Pareto profile, KS statistics and CSV formatting.
+# Each pass is elementwise, so the block size bounds temporaries and changes
+# no byte.
+BLOCK_ROWS = 1 << 14
 
 # The kernel takes x with 1e-4 <= |x| < 1e16, where '%.17g' writes fixed
 # notation. With d = floor(log10|x|) and k = 16 - d, N = round(|x| * 10**k)
@@ -196,13 +199,13 @@ def write_float_rows(fh, rows: np.ndarray) -> None:
     layout. Fields with 1e-4 <= |x| < 2**51 go through an exact integer
     kernel (_field_words) that gives '%.17g''s bytes. A row with any other
     field (0, inf, nan, |x| < 1e-4, |x| >= 2**51) is formatted with ``%``
-    and spliced in. Chunks of _FORMAT_ROWS rows bound the memory.
+    and spliced in. Chunks of BLOCK_ROWS rows bound the memory.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[:, None]
-    for lo in range(0, len(rows), _FORMAT_ROWS):
-        chunk = rows[lo : lo + _FORMAT_ROWS]
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        chunk = rows[lo : lo + BLOCK_ROWS]
         words, ok = _field_words(chunk)
         out = np.empty((len(chunk), 6 * chunk.shape[1] + 1), dtype="<u8")
         fields = out[:, :-1].reshape(len(chunk), -1, 6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -461,6 +462,20 @@ class TestCompareModels:
         assert calls == {"sort": 1, "log": 1}
         loglog_histogram(samples, 8)
         assert calls["sort"] == 1
+
+    def test_memory_beyond_the_sample_stays_under_five_arrays(self, quasi_batch):
+        # the fit keeps prefix, starts and ll at sample length and runs every
+        # other pass in blocks; unblocked, 11 such arrays were live at once
+        samples = SampleSet(quasi_batch[:200_000, 1])
+        samples.sorted, samples.logs  # cached before the measurement
+        tracemalloc.start()
+        try:
+            report = compare_models(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.errors
+        assert peak < 5 * samples.values.nbytes
 
     def test_report_json_dict_is_stable(self, quasi_batch):
         samples = SampleSet(quasi_batch[:2000, 1], source="x")

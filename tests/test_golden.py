@@ -13,10 +13,13 @@ to them is a change to the program's output bytes.
 """
 
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import gbmtails
 from gbmtails.cli import main
 
 KILLED = ("simulate", "--mode", "killed", "--r", "0.05", "--alpha", "0.5",
@@ -65,6 +68,35 @@ def test_fit_gbm(tmp_path, capsys, monkeypatch):
     assert main(["fit", "g1.csv"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "27f82032a2fc6859b37ff26e421a3407ddc59b185a02695edaa6dd74e861ddd3"
+
+
+def _in_7_row_blocks(monkeypatch) -> None:
+    """Set every module's BLOCK_ROWS to 7, so an n = 3000 run crosses many
+    block edges; forked pool workers inherit it."""
+    patched = set()
+    for info in pkgutil.iter_modules(gbmtails.__path__):
+        module = importlib.import_module(f"gbmtails.{info.name}")
+        if hasattr(module, "BLOCK_ROWS"):
+            monkeypatch.setattr(module, "BLOCK_ROWS", 7)
+            patched.add(info.name)
+    assert patched >= {"fitting", "killing", "rng", "serialization"}
+
+
+# The same digests with every pass over a sample in 7-row blocks.
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_killed_in_7_row_blocks(tmp_path, capsys, monkeypatch, workers):
+    _in_7_row_blocks(monkeypatch)
+    test_simulate_killed(tmp_path, capsys, workers)
+
+
+def test_fit_killed_in_7_row_blocks(tmp_path, capsys, monkeypatch):
+    _in_7_row_blocks(monkeypatch)
+    test_fit_killed(tmp_path, capsys, monkeypatch)
+
+
+def test_fit_gbm_in_7_row_blocks(tmp_path, capsys, monkeypatch):
+    _in_7_row_blocks(monkeypatch)
+    test_fit_gbm(tmp_path, capsys, monkeypatch)
 
 
 def test_hia(tmp_path, capsys):

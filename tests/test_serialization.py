@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gbmtails import serialization
 from gbmtails.serialization import (
-    _FORMAT_ROWS,
+    BLOCK_ROWS,
     _escape_string,
     _field_words,
     _percent_rows,
@@ -229,9 +229,9 @@ class TestFloatKernel:
         assert _written(values.reshape(-1, 2)) == _per_row(values.reshape(-1, 2))
 
     def test_chunk_edges_and_fallback_runs(self):
-        n = 2 * _FORMAT_ROWS + 3
+        n = 2 * BLOCK_ROWS + 3
         rows = np.exp(np.random.default_rng(4).uniform(-9.0, 35.0, (n, 2)))
-        for i in (0, _FORMAT_ROWS - 1, _FORMAT_ROWS, _FORMAT_ROWS + 1, 2 * _FORMAT_ROWS, n - 1):
+        for i in (0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, n - 1):
             rows[i, i % 2] = 0.0  # '%' rows at and next to chunk edges
         rows[100:140, 1] = math.inf  # and one longer run
         assert _written(rows) == _per_row(rows)
