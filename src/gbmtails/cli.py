@@ -25,15 +25,18 @@ key, a missing required one, a bool, a value its option's type would change
 choices, or ``null`` for an option with a default exits 2 naming the key.
 A command imports only the modules its ``COMMANDS`` entry names.
 
-``simulate --mode killed --workers N`` (N > 1) shards its batch into at most
-N parts, and ``sweep`` splits into its ``points x seeds`` runs on 2 or more
-usable CPUs; both go to one ordered process map of at most as many processes
-as jobs or usable CPUs. Output bytes, stdout and manifests never depend on it.
+``simulate --mode killed --workers N`` (N > 1) samples and formats its rows in
+jobs of at most ``4 * BLOCK_ROWS`` rows on at most N processes, written in job
+order, and ``sweep`` splits into its ``points x seeds`` runs on 2 or more usable
+CPUs; both go to one ordered process map of at most as many processes as jobs
+or usable CPUs, with at most two results a process unread. Output bytes, stdout
+and manifests never depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib
 import json
 import math
@@ -47,8 +50,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .serialization import (atomic_write, atomic_write_text, dumps, open_text, sha256_file,
-                            sha256_written, write_sample_csv_fh, write_text)
+from .serialization import (BATCH_CSV_HEADER, BLOCK_ROWS, atomic_write, atomic_write_text, dumps,
+                            open_text, sha256_file, sha256_written, write_sample_csv_fh,
+                            write_text)
 
 # The names executors call from modules that not every command needs, by
 # module. A command's COMMANDS entry names the modules it runs; ``_load`` binds
@@ -59,7 +63,7 @@ _LAZY = {
                  "exponent_curves_csv_text", "limit_csv_text", "limit_table",
                  "solve_exponents_canonical"),
     ".fitting": ("compare_models", "read_sample_csv"),
-    ".killing": ("KillSchedule", "killed_rows_range", "sample_killed_batch", "write_batch_csv_fh"),
+    ".killing": ("KillSchedule", "killed_rows_text", "sample_killed_batch", "write_batch_csv_fh"),
     ".sde": ("GbmParams", "sample_terminal_levels"),
     "concurrent.futures.process": ("ProcessPoolExecutor",),
 }
@@ -182,22 +186,29 @@ def _exec_simulate(p: dict) -> CommandResult:
     if mode == "gbm":
         levels = sample_terminal_levels(params, p["t"], p["n"], p["seed"])  # finite, > 0
         artifact = Artifact(p["out"], lambda fh: write_sample_csv_fh(fh, levels))
-    else:
-        schedule = KillSchedule(nu=p["nu"])
-        batch = _killed_batch_parallel(params, schedule, p["n"], p["seed"], p["workers"])
+    elif p["workers"] == 1:
+        batch = sample_killed_batch(params, KillSchedule(nu=p["nu"]), p["n"], p["seed"])
         artifact = Artifact(p["out"], lambda fh: write_batch_csv_fh(fh, batch))
+    else:
+        artifact = Artifact(p["out"], partial(_write_killed_jobs, params, KillSchedule(nu=p["nu"]),
+                                              p["n"], p["seed"], p["workers"]))
     return CommandResult(stdout_text=None, artifacts=[artifact])
 
 
-def _killed_batch_parallel(params, schedule, n, seed, workers) -> np.ndarray:
-    """Worker-sharded batch; byte-identical to the sequential path."""
-    if workers <= 1:
-        return sample_killed_batch(params, schedule, n, seed)
-    size = -(-n // workers)
+# Rows per pool job of a sharded killed CSV. The parent holds the text of at
+# most a few jobs at once, and never the float batch.
+_JOB_ROWS = 4 * BLOCK_ROWS
+
+
+def _write_killed_jobs(params, schedule, n, seed, workers, fh) -> None:
+    """The killed batch CSV, each job's rows sampled and formatted in the pool
+    and written in job order: the bytes of the in-process path."""
+    size = min(_JOB_ROWS, -(-n // workers))
     los = range(0, n, size)
-    parts = _process_map(partial(killed_rows_range, params, schedule, seed),
-                         los, [min(lo + size, n) for lo in los])
-    return np.concatenate(parts, axis=0)
+    write_text(fh, BATCH_CSV_HEADER + "\n")
+    for part in _process_map(partial(killed_rows_text, params, schedule, seed),
+                             los, [min(lo + size, n) for lo in los], processes=workers):
+        fh.write(part)
 
 
 def _usable_cpus() -> int:
@@ -208,14 +219,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _process_map(fn, *iterables) -> list:
-    """``list(map(fn, *iterables))`` computed in a process pool, results in job order."""
+def _process_map(fn, *iterables, processes=None):
+    """``map(fn, *iterables)`` computed in a pool of at most ``processes``
+    processes, results in job order, with at most two jobs a process
+    submitted and not yet read, so the results held stay bounded."""
     _load(("concurrent.futures.process",))  # only a pooled command pays for the pool
     jobs = list(zip(*iterables))
     # fork starts every process at once, so no more than there are jobs or usable CPUs
-    with ProcessPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
-        futures = [pool.submit(fn, *args) for args in jobs]
-        return [f.result() for f in futures]
+    processes = min(len(jobs), _usable_cpus(), processes or len(jobs))
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        pending = collections.deque()
+        for args in jobs:
+            if len(pending) == 2 * processes:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *args))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _exec_fit(p: dict) -> CommandResult:
@@ -332,7 +351,7 @@ COMMANDS = {
         "nu": Option(float, None, "observation rate (killed mode only)"),
         "n": Option(int, help="number of samples"),
         "seed": _SEED,
-        "workers": Option(int, 1, "shard a killed batch into this many parts (gbm: 1 only)"),
+        "workers": Option(int, 1, "processes that sample a killed batch, at most (gbm: 1 only)"),
         "out": Option(str, help="sample CSV path (with manifest)"),
     }),
     "fit": Command(_exec_fit, (".fitting",),

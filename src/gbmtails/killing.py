@@ -11,6 +11,7 @@ and callers wanting it should sample the fixed-horizon law directly.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -108,6 +109,15 @@ def killed_rows_range(
         b = min(a + BLOCK_ROWS, hi - lo)
         out[a:b] = _killed_rows(params, schedule, uniforms.take(lo + a, b - a))
     return out
+
+
+def killed_rows_text(
+    params: GbmParams, schedule: KillSchedule, master_seed: int, lo: int, hi: int
+) -> bytes:
+    """Rows lo..hi-1 as the batch CSV holds them: a pool job's part of the file."""
+    fh = io.BytesIO()
+    write_float_rows(fh, killed_rows_range(params, schedule, master_seed, lo, hi))
+    return fh.getvalue()
 
 
 def sample_killed_batch(

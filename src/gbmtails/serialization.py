@@ -8,8 +8,9 @@ and a path is written as the bytes it was given. open_text reads every file
 back the way argv is decoded, so a manifest replays under any locale. Files
 are written to a temporary file and renamed, so a failed run leaves no
 partial artifact. CSV float rows come from write_float_rows, whose exact
-integer kernel gives '%.17g''s bytes for 1e-4 <= |x| < 2**51; a row with any
-other field is formatted with '%'.
+kernel gives '%.17g''s bytes for 1e-4 <= |x| < 1e16: it scales by a power
+of ten with Dekker's two-product, whose float part and exact remainder give
+the 17 digits; a row with any other field is formatted with '%'.
 """
 
 from __future__ import annotations
@@ -91,24 +92,43 @@ BLOCK_ROWS = 1 << 14
 # notation. With d = floor(log10|x|) and k = 16 - d, N = round(|x| * 10**k)
 # has 17 digits, and the text is N's digits with the point after digit
 # d + 1 (d >= 0) or "0." and -d - 1 zeros before them (d < 0), trailing
-# zeros and a bare point dropped. For |x| = m * 2**(e - 53) (m a 53-bit
-# integer), N = round(m * 5**k / 2**s) with s = 53 - e - k, exact in 128
-# bits while 5**k < 2**63 (k <= 27) and 1 <= s <= 63; s < 1 from 2**51 on.
-_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
-_LOW32 = 0xFFFFFFFF
+# zeros and a bare point dropped. 10**k is a float for k <= 22, and Dekker's
+# two-product splits |x| * 10**k exactly into the float product p plus err.
+# Where the product has 17 digits, p >= 10**16 > 2**53 is an even integer,
+# so the floor is p + floor(err) and the half-to-even rounding p + rint(err).
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split into two 26-bit halves
 _ONES = 0x0101010101010101
-_HEAD = int.from_bytes(b"\0\0" b"0.000" b"\0", "little")
+
+
+def _halves(a):
+    """a = hi + lo, each half exact to multiply by another half."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# d is floor(e * log10(2)) or one more, for |x| = 1.f * 2**e: the exponent
+# bits index the first guess and the power of ten that decides. Tables by
+# j = d + 5 hold 10**k and its halves, and each field's byte masks for d.
+_GUESS = np.clip((((np.arange(2048) - 1023) * 315653) >> 20) + 5, 0, 21)  # j of the first guess
+_NEXT = np.array([float(f"1e{j - 4}") for j in range(22)])[_GUESS]
+_POW10 = np.array([float(10 ** (21 - j)) for j in range(23)])
+_POW10_HI, _POW10_LO = _halves(_POW10)
 
 
 def _masks(d: int) -> list:
-    """Byte masks of a field's first four words (see _field_words) for d."""
+    """Byte masks of the head, the integer digits and the point for d."""
+    if not -4 <= d <= 15:
+        return [0] * 5
     head = (0, 1, 7) if d >= 0 else (0, 1, 2, 3, *range(4, 3 - d), 7)
-    bits = 8 * max(d, 0)  # the integer digits after the leading one
-    return [sum(0xFF << 8 * b for b in head), (1 << min(bits, 64)) - 1,
-            (1 << max(bits - 64, 0)) - 1, ord(".") * (d >= 0)]
+    digits = (1 << 8 * max(d, 0)) - 1  # the integer digits after the leading one
+    dot = ord(".") << 8 * d if d >= 0 else 0
+    return [sum(0xFF << 8 * b for b in head) & int.from_bytes(b"\0\0" b"0.000" b"0", "little"),
+            digits & (2**64 - 1), digits >> 64, dot & (2**64 - 1), dot >> 64]
 
 
-_MASKS = np.array([_masks(d) for d in range(-4, 16)], dtype=np.uint64)
+_HEAD, _INT1, _INT2, _DOT1, _DOT2 = np.array([_masks(j - 5) for j in range(23)],
+                                              dtype=np.uint64).T.copy()
 
 
 def _swar8(v):
@@ -130,61 +150,55 @@ def _through_last_nonzero(z):
     return (f >> 7) * 0xFF
 
 
-def _scaled(m, e, k):
-    """floor(|x| * 10**k) for |x| = m * 2**(e - 53), whether it rounds up
-    (half to even), and whether the exact path applies (1 <= s <= 63)."""
-    s = 53 - e - k
-    fits = (s >= 1) & (s <= 63)
-    s = np.where(fits, s, 1).astype(np.uint64)
-    p = _POW5[k]
-    # m * p as two 64-bit limbs from 32-bit halves, then shifted right by s
-    ml, mh, pl, ph = m & _LOW32, m >> 32, p & _LOW32, p >> 32
-    ll, lh, hl = ml * pl, ml * ph, mh * pl
-    mid = (ll >> 32) + (lh & _LOW32) + (hl & _LOW32)
-    lo = (ll & _LOW32) | (mid << 32)
-    hi = mh * ph + (lh >> 32) + (hl >> 32) + (mid >> 32)
-    t = (hi << (64 - s)) | (lo >> s)
-    rem, half = lo & ((1 << s) - 1), 1 << (s - 1)
-    return t, (rem > half) | ((rem == half) & ((t & 1) == 1)), fits
+def _scaled(a, j):
+    """floor(a * 10**k) and its half-to-even rounding, k = 21 - j."""
+    ah, al = _halves(a)
+    bh, bl = _POW10_HI.take(j), _POW10_LO.take(j)
+    p = a * _POW10.take(j)
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    p = p.astype(np.int64)
+    return p + np.floor(err).astype(np.int64), p + np.rint(err).astype(np.int64)
 
 
 def _field_words(x: np.ndarray):
-    """The '%.17g' text of each field of a float64 array as 6 uint64 words
+    """The '%.17g' text of each field of a float64 array as 4 uint64 words
     with NUL filler, first character in the lowest byte, and where the
     kernel took the field.
 
-    The words hold [separator slot, sign, "0.000", leading digit], the
-    other 16 digits masked to the integer part, ".", and the same 16
-    digits masked to the fraction.
+    The words hold [separator slot, sign, "0.000", leading digit], then the
+    other 16 digits over 24 bytes: those of the integer part, then ".",
+    then the fraction's through its last nonzero one. The last word's top
+    byte is free.
     """
     ax = np.abs(x)
     ok = (ax >= 1e-4) & (ax < 1e16)
-    ax[~ok] = 1.0
-    f, e = np.frexp(ax)
-    m = (f * 2.0**53).astype(np.uint64)
-    k = 16 - np.floor(np.log10(ax)).astype(np.int64)
-    t, up, fits = _scaled(m, e, k)
-    # np.log10 only estimates d: where t has 16 or 18 digits, move k by one
-    step = (t < 10**16).astype(np.int64) - (t >= 10**17)
-    redo = (step != 0) & fits
+    np.copyto(ax, 1.0, where=~ok)
+    e = ax.view(np.int64) >> 52
+    j = _GUESS.take(e) + (ax >= _NEXT.take(e))
+    t, n = _scaled(ax, j)
+    # the guard: where t has 16 or 18 digits, move k by one
+    redo = (t - 10**16).view(np.uint64) >= 9 * 10**16
     if redo.any():
-        k[redo] += step[redo]
-        t[redo], up[redo], fits[redo] = _scaled(m[redo], e[redo], k[redo])
-    n = t + up
+        j[redo] += (t[redo] >= 10**17).astype(np.int64) * 2 - 1
+        t[redo], n[redo] = _scaled(ax[redo], j[redo])
+        ok[redo] &= (t[redo] >= 10**16) & (t[redo] < 10**17)
     # N = 10**17 (a carry) occurs for no float in range: the float below each
     # power of ten from 1e-3 to 1e16 keeps 17 nines. '%' would take one.
-    ok &= fits & (t >= 10**16) & (n < 10**17)
+    ok &= n < 10**17
     lead = n // 10**16
     rest = n - lead * 10**16
-    z1, z2 = _swar8(rest // 10**8), _swar8(rest % 10**8)
+    hi = rest // 10**8
+    z1, z2 = _swar8(hi).view(np.uint64), _swar8(rest - hi * 10**8).view(np.uint64)
     tail2 = _through_last_nonzero(z2)
     tail1 = _through_last_nonzero(z1) | (tail2 & 0xFF) * _ONES
     w1, w2 = z1 | 0x30 * _ONES, z2 | 0x30 * _ONES
-    masks = _MASKS[np.where(ok, 20 - k, 0)]
-    head = _HEAD | (np.signbit(x).astype(np.uint64) * ord("-") << 8) | ((lead | 0x30) << 56)
-    frac1, frac2 = w1 & ~masks[..., 1] & tail1, w2 & ~masks[..., 2] & tail2
-    dot = masks[..., 3] * ((frac1 | frac2) != 0)
-    return (head & masks[..., 0], w1 & masks[..., 1], w2 & masks[..., 2], dot, frac1, frac2), ok
+    int1, int2 = w1 & _INT1.take(j), w2 & _INT2.take(j)
+    frac1, frac2 = (w1 ^ int1) & tail1, (w2 ^ int2) & tail2
+    head = _HEAD.take(j) | (x.view(np.uint64) >> 63) * (ord("-") << 8) | lead.view(np.uint64) << 56
+    return (head,
+            int1 | frac1 << 8 | _DOT1.take(j) & tail1,
+            int2 | frac2 << 8 | frac1 >> 56 | _DOT2.take(j) & tail2,
+            frac2 >> 56), ok
 
 
 def _percent_rows(rows: np.ndarray) -> bytes:
@@ -196,10 +210,11 @@ def write_float_rows(fh, rows: np.ndarray) -> None:
     """Write each row of a float array as comma-joined '%.17g' fields and a newline.
 
     ``rows`` is 1-d (one field per row) or 2-d, in any byte order or memory
-    layout. Fields with 1e-4 <= |x| < 2**51 go through an exact integer
-    kernel (_field_words) that gives '%.17g''s bytes. A row with any other
-    field (0, inf, nan, |x| < 1e-4, |x| >= 2**51) is formatted with ``%``
-    and spliced in. Chunks of BLOCK_ROWS rows bound the memory.
+    layout. Fields with 1e-4 <= |x| < 1e16 go through an exact kernel
+    (_field_words) that gives '%.17g''s bytes. A row with any other field
+    (0, inf, nan, |x| < 1e-4, |x| >= 1e16) is formatted with ``%`` and
+    spliced in. Chunks of BLOCK_ROWS rows bound the memory; a row's words
+    pad it to 32 bytes a field, the newline in its last field's free byte.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1:
@@ -207,12 +222,11 @@ def write_float_rows(fh, rows: np.ndarray) -> None:
     for lo in range(0, len(rows), BLOCK_ROWS):
         chunk = rows[lo : lo + BLOCK_ROWS]
         words, ok = _field_words(chunk)
-        out = np.empty((len(chunk), 6 * chunk.shape[1] + 1), dtype="<u8")
-        fields = out[:, :-1].reshape(len(chunk), -1, 6)
+        out = np.empty((*chunk.shape, 4), dtype="<u8")
         for i, w in enumerate(words):
-            fields[..., i] = w
-        fields[:, 1:, 0] |= ord(",")
-        out[:, -1] = ord("\n")
+            out[..., i] = w
+        out[:, 1:, 0] |= ord(",")
+        out[:, -1, 3] |= ord("\n") << 56
         text, row_bytes = out.tobytes(), out[0].nbytes
         bad = ~ok.all(axis=1)
         edges = [0, *(np.flatnonzero(bad[1:] != bad[:-1]) + 1).tolist(), len(chunk)]

@@ -409,6 +409,29 @@ class TestHiaAndSweep:
         assert pooled == serial
         assert sweep_csv_text(pooled) == sweep_csv_text(serial)
 
+    @pytest.mark.parametrize("cap, most", [({}, 4), ({"processes": 1}, 2)], ids=["cpus", "one"])
+    def test_process_map_keeps_two_jobs_a_process_unread(self, monkeypatch, cap, most):
+        """Results come in job order, and a job is submitted only while fewer
+        than two per process are waiting to be read."""
+        from gbmtails import cli
+
+        count = {"submitted": 0, "read": 0, "most": 0}
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def submit(self, fn, *args):
+                count["submitted"] += 1
+                count["most"] = max(count["most"], count["submitted"] - count["read"])
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        results = []
+        for result in cli._process_map(abs, range(-20, 0), **cap):
+            count["read"] += 1
+            results.append(result)
+        assert results == list(range(20, 0, -1))
+        assert count["submitted"] == 20 and count["most"] == most
+
     def test_sweep_on_one_cpu_starts_no_pool(self, capsys, tmp_path, monkeypatch):
         from gbmtails import cli
 

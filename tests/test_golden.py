@@ -89,6 +89,29 @@ def test_simulate_killed_in_7_row_blocks(tmp_path, capsys, monkeypatch, workers)
     test_simulate_killed(tmp_path, capsys, workers)
 
 
+def test_simulate_killed_in_7_row_jobs(tmp_path, capsys, monkeypatch):
+    """--workers 2 with 7-row pool jobs: 429 jobs, the last one short, whose
+    parts are written in job order; replay of the manifest reproduces."""
+    from gbmtails import cli
+
+    jobs = []
+    process_map = cli._process_map
+
+    def recording(fn, los, his, **kwargs):
+        jobs.append(list(zip(los, his)))
+        return process_map(fn, los, his, **kwargs)
+
+    monkeypatch.setattr(cli, "_JOB_ROWS", 7)
+    monkeypatch.setattr(cli, "_process_map", recording)
+    test_simulate_killed(tmp_path, capsys, "2")
+    assert len(jobs[0]) == 429 and jobs[0][:2] == [(0, 7), (7, 14)]
+    assert jobs[0][-1] == (2996, 3000)
+    capsys.readouterr()
+    assert main(["replay", str(tmp_path / "k.csv.manifest.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["reproduced"] is True
+    assert len(jobs) == 2
+
+
 def test_fit_killed_in_7_row_blocks(tmp_path, capsys, monkeypatch):
     _in_7_row_blocks(monkeypatch)
     test_fit_killed(tmp_path, capsys, monkeypatch)

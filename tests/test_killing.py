@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from gbmtails.killing import (
     _killed_rows,
     kill_time_from_uniform,
     killed_rows_range,
+    killed_rows_text,
     sample_kill_time,
     sample_killed_batch,
     sample_killed_state,
@@ -19,6 +21,7 @@ from gbmtails.killing import (
 )
 from gbmtails.rng import RngStream, normals_from_uniforms
 from gbmtails.sde import GbmParams, terminal_log_law
+from gbmtails.serialization import write_float_rows
 
 from conftest import QUASI, SCHEDULE
 
@@ -85,16 +88,23 @@ class TestKilledState:
             assert batch[i, 0] == s.kill_time and batch[i, 1] == s.state
 
     def test_worker_count_independence(self):
-        # the --workers pool concatenates killed_rows_range shards of -(-n // workers)
-        # rows; 2500 divides n, the other sizes leave a short last shard
+        # the --workers pool writes killed_rows_text parts of the rows in order;
+        # 2500 divides n, the other sizes leave a short last part
         n = 10_000
         base = sample_killed_batch(QUASI, SCHEDULE, n, master_seed=7)
+        fh = io.BytesIO()
+        write_float_rows(fh, base)
         for size in (-(-n // 4), -(-n // 3), -(-n // 7), n - 1):
             shards = [
                 killed_rows_range(QUASI, SCHEDULE, 7, lo, min(lo + size, n))
                 for lo in range(0, n, size)
             ]
             assert np.concatenate(shards, axis=0).tobytes() == base.tobytes(), size
+            parts = [
+                killed_rows_text(QUASI, SCHEDULE, 7, lo, min(lo + size, n))
+                for lo in range(0, n, size)
+            ]
+            assert b"".join(parts) == fh.getvalue(), size
 
     def test_batch_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -221,6 +221,31 @@ class TestFloatKernel:
         last = [line[-1] for line in text.split()]
         assert set(last) <= set("02468")  # half to even, trailing zeros dropped
 
+    def test_kernel_takes_2_51_to_1e16(self):
+        """Values from 2**51 up to 1e16, their decade neighbours and the
+        powers of two between are written by the kernel, not by '%'."""
+        rng = np.random.default_rng(6)
+        values = list(np.exp(rng.uniform(math.log(2.0**51), math.log(1e16), 20_000)))
+        for x in (2.0**51, 2.0**52, 2.0**53, 2.0**53 + 2, 1e15, 1e16):
+            below, above = np.nextafter(x, 0.0), np.nextafter(x, np.inf)
+            values += [below, np.nextafter(below, 0.0), x, above, np.nextafter(above, np.inf)]
+        values = np.array([v for v in values if v < 1e16])
+        _, ok = _field_words(np.stack([values, -values], axis=1))
+        assert ok.all()
+        assert _written(values) == _per_row(values)
+        assert _written(-values) == _per_row(-values)
+
+    @pytest.mark.parametrize("fill", [math.inf, 0.0], ids=["low", "high"])
+    def test_guard_mends_a_first_guess_one_off(self, monkeypatch, fill):
+        """With the comparison that decides d forced one way, the first guess
+        is one decade low (or high) for many fields; the 16/18-digit guard
+        redoes them, and the kernel still takes every field."""
+        monkeypatch.setattr(serialization, "_NEXT", np.full_like(serialization._NEXT, fill))
+        values = np.exp(np.random.default_rng(7).uniform(math.log(1e-4), math.log(1e16), 20_000))
+        _, ok = _field_words(values[:, None])
+        assert ok.all()
+        assert _written(values) == _per_row(values)
+
     def test_zeros_subnormals_and_integers_near_2_53(self):
         values = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                            2.0**53 - 2, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2),
@@ -238,12 +263,12 @@ class TestFloatKernel:
 
     def test_benchmark_killed_rows_take_the_kernel(self, quasi_batch, monkeypatch):
         """At r 0.05, alpha 0.2, nu 0.01 at least 99.9% of killed rows are
-        written by the kernel; only states of 2**51 and above (and any below
-        1e-4) are left to '%'. A writer that handed every row to '%' would
-        still give the right bytes, so this pins the mechanism. The splice of
-        '%'-formatted rows is pinned by the KILLED golden digest
-        (test_golden.py, alpha 0.5), where about 30% of rows have a state
-        below 1e-4 and fall back."""
+        written by the kernel; only fields below 1e-4 (here kill times) or
+        of 1e16 and above are left to '%'. A writer that handed every row
+        to '%' would still give the right bytes, so this pins the mechanism.
+        The splice of '%'-formatted rows is pinned by the KILLED golden
+        digest (test_golden.py, alpha 0.5), where about 30% of rows have a
+        state below 1e-4 and fall back."""
         by_percent = []
 
         def counted(rows):
