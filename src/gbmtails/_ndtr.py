@@ -7,7 +7,7 @@ results are bit-equal to scipy's. numpy's add, multiply, divide and sqrt
 round exactly as C does, but its SIMD ``log`` and ``exp`` differ from the C
 library's on a few inputs in 10^4, so every ``log`` and ``exp`` goes
 through Python's ``math``, which calls the C library, one element at a
-time. A Python float takes a scalar path through the same formulas.
+time.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
 
 
 def _polevl(x, coef):
-    """coef[0] x^N + ... + coef[N] by Horner's rule; x is a float or an array."""
+    """coef[0] x^N + ... + coef[N] by Horner's rule, elementwise on an array x."""
     ans = coef[0] * x + coef[1]
     for c in coef[2:]:
         ans *= x
@@ -173,22 +173,10 @@ def _ndtri_mid(y):
 
 
 def _ndtri_tail(x, log, p, q):
-    """-ndtri(y) for y <= exp(-2), from x = sqrt(-2 log y); ``log`` matches x's type."""
+    """-ndtri(y) for y <= exp(-2), from x = sqrt(-2 log y); ``log`` is the C
+    library's (``_array_log``), a parameter so that a test can substitute numpy's."""
     z = 1.0 / x
     return x - log(x) / x - z * _polevl(z, p) / _p1evl(z, q)
-
-
-def _ndtri_float(y: float) -> float:
-    if not 0.0 < y < 1.0:
-        return -math.inf if y == 0.0 else math.inf if y == 1.0 else math.nan
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        return _ndtri_mid(y)
-    x = math.sqrt(-2.0 * math.log(y))
-    x = _ndtri_tail(x, math.log, *((_P1, _Q1) if x < 8.0 else (_P2, _Q2)))
-    return x if upper else -x
 
 
 def _ndtri_tails(y: np.ndarray) -> np.ndarray:
@@ -204,14 +192,15 @@ def _ndtri_tails(y: np.ndarray) -> np.ndarray:
 def ndtri(y):
     """Inverse of the standard normal CDF, bit-equal to ``scipy.special.ndtri``.
 
-    A scalar (a Python or numpy float, or a 0-d array) gives a Python float
-    by the scalar path; an array gives a float64 array of its shape.
+    A scalar (a Python or numpy float, or a 0-d array) goes through the
+    array body as one element and gives a Python float; an array gives a
+    float64 array of its shape.
     ``ndtri(0) = -inf``, ``ndtri(1) = inf``; outside [0, 1] the result is nan
     (a nan's sign bit may differ from scipy's).
     """
-    if isinstance(y, float) or np.ndim(y) == 0:
-        return _ndtri_float(float(y))
     y = np.asarray(y, dtype=float)
+    if y.ndim == 0:
+        return float(ndtri(np.reshape(y, 1))[0])
     inside = (y > 0.0) & (y < 1.0)
     if not inside.all():
         out = np.where(y == 0.0, -np.inf, np.where(y == 1.0, np.inf, np.nan))

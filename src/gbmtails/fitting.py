@@ -92,7 +92,8 @@ def read_sample_csv(path, source: str | None = None) -> SampleSet:
     The rows are first parsed by ``np.loadtxt``, kept only when they make one
     column of finite positive values; else the line-by-line validator decides
     what is accepted and names the offending lines. A killed batch's
-    ``kill_time`` and any third field are never parsed (ROADMAP item 7).
+    ``kill_time`` and any third field are never parsed (see the ROADMAP item
+    "A strict sample-CSV reader").
     """
     source = source if source is not None else str(path)
     with open_text(path) as fh:
@@ -317,13 +318,13 @@ def _profile_loglik(n, k_lo, k_hi, lo, hi, log_c, log):
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-13) -> float:
+def _golden_max(fn, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(200):
-        if (b - a) <= max(tol, 1e-12 * max(abs(a), abs(b))):
+        if (b - a) <= max(1e-13, 1e-12 * max(abs(a), abs(b))):
             break
         if fc >= fd:
             b, d, fd = d, c, fc

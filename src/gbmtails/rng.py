@@ -189,7 +189,6 @@ class StreamUniformBlock:
 def normals_from_uniforms(u):
     """Inverse-CDF normals from a uniform or an array; every normal drawn comes through here.
 
-    A float stays a float (``ndtri``'s scalar path), so one draw costs no
-    numpy array round trip.
+    A float gives a float, as ``ndtri`` gives for any scalar.
     """
-    return ndtri(max(u, _U_FLOOR) if isinstance(u, float) else np.maximum(u, _U_FLOOR))
+    return ndtri(np.maximum(u, _U_FLOOR))

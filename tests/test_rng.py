@@ -24,6 +24,11 @@ def test_scalar_and_vector_draws_consume_identically():
     a = RngStream(7, 0)
     b = RngStream(7, 0)
     assert [a.uniform(), a.uniform()] == list(b.uniforms(2))
+    # a scalar normal is the vector kernel at n = 1, bit for bit
+    got, want = np.array([a.normal(), a.normal()]), b.normals(2)
+    assert got.tobytes() == want.tobytes()
+    floored = normals_from_uniforms(0.0)
+    assert type(floored) is float and floored == normals_from_uniforms(np.zeros(1))[0]
 
 
 def test_normals_are_inverse_cdf_of_uniforms():
