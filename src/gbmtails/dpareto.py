@@ -227,47 +227,45 @@ def _check_levels(x) -> np.ndarray:
     return x
 
 
+def _two_sided(values, lower, below, above):
+    """``below`` where ``lower`` holds, else ``above``; a scalar runs as a one-element array."""
+    flat, lower = np.atleast_1d(values), np.atleast_1d(lower)
+    out = np.empty_like(flat)
+    out[lower] = below(flat[lower])
+    out[~lower] = above(flat[~lower])
+    return float(out[0]) if np.ndim(values) == 0 else out
+
+
 def dpareto_pdf(dist: DoubleParetoDist, x):
     """Density: C (x/c)^(m2-1) below c, C (x/c)^(-m1-1) above, C = m1 m2 / ((m1+m2) c).
 
     The 1/c factor is the Jacobian that makes the piecewise power form
     integrate to one. Continuous at the center. Scalar or array ``x``.
     """
-    x = _check_levels(x)
     c, m1, m2 = dist.center, dist.m1, dist.m2
     norm = m1 * m2 / ((m1 + m2) * c)
-    ratio = np.atleast_1d(x / c)
-    below = ratio <= 1.0
-    out = np.empty_like(ratio)
-    out[below] = norm * ratio[below] ** (m2 - 1.0)
-    out[~below] = norm * ratio[~below] ** (-m1 - 1.0)
-    return float(out[0]) if x.ndim == 0 else out
+    ratio = _check_levels(x) / c
+    return _two_sided(ratio, ratio <= 1.0, lambda r: norm * r ** (m2 - 1.0),
+                      lambda r: norm * r ** (-m1 - 1.0))
 
 
 def dpareto_cdf(dist: DoubleParetoDist, x):
     """Closed-form CDF; equals m1/(m1+m2) at the center."""
-    x = _check_levels(x)
-    c, m1, m2 = dist.center, dist.m1, dist.m2
-    ratio = np.atleast_1d(x / c)
-    below = ratio <= 1.0
-    out = np.empty_like(ratio)
-    out[below] = (m1 / (m1 + m2)) * ratio[below] ** m2
-    out[~below] = 1.0 - (m2 / (m1 + m2)) * ratio[~below] ** (-m1)
-    return float(out[0]) if x.ndim == 0 else out
+    m1, m2 = dist.m1, dist.m2
+    ratio = _check_levels(x) / dist.center
+    # 1 - k r^-m1 bit for bit, 1.0 added last so numpy reuses the temporary array
+    return _two_sided(ratio, ratio <= 1.0, lambda r: (m1 / (m1 + m2)) * r ** m2,
+                      lambda r: -(m2 / (m1 + m2)) * r ** (-m1) + 1.0)
 
 
 def dpareto_quantile(dist: DoubleParetoDist, p):
-    """Exact inverse of the CDF on (0, 1); maps the split mass to the center."""
+    """Exact inverse of the CDF on (0, 1); the split mass maps to c * 1.0 ** (1/m2) = c."""
     p = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(p)) or np.any((p <= 0) | (p >= 1)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    c, m1, m2 = dist.center, dist.m1, dist.m2
-    split = dist.split
-    with np.errstate(divide="ignore"):
-        lo = c * (p / split) ** (1.0 / m2)
-        hi = c * ((1.0 - p) * (m1 + m2) / m2) ** (-1.0 / m1)
-    out = np.where(p < split, lo, np.where(p == split, c, hi))
-    return float(out) if out.ndim == 0 else out
+    c, m1, m2, split = dist.center, dist.m1, dist.m2, dist.split
+    return _two_sided(p, p <= split, lambda q: c * (q / split) ** (1.0 / m2),
+                      lambda q: c * ((1.0 - q) * (m1 + m2) / m2) ** (-1.0 / m1))
 
 
 def dpareto_log_mgf(dist: DoubleParetoDist, s: float) -> float:

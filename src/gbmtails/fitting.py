@@ -86,16 +86,15 @@ class SampleSet:
 _SAMPLE_COLUMNS = {SAMPLE_CSV_HEADER: (None, "sample"), BATCH_CSV_HEADER: (1, "state")}
 
 
-def read_sample_csv(path, source: str | None = None) -> SampleSet:
+def read_sample_csv(path) -> SampleSet:
     """Load a one-column sample CSV or the state column of a killed-batch CSV.
 
     The rows are first parsed by ``np.loadtxt``, kept only when they make one
     column of finite positive values; else the line-by-line validator decides
     what is accepted and names the offending lines. A killed batch's
     ``kill_time`` and any third field are never parsed (see the ROADMAP item
-    "A strict sample-CSV reader").
+    "A strict sample-CSV reader"). The sample's source is ``str(path)``.
     """
-    source = source if source is not None else str(path)
     with open_text(path) as fh:
         header = fh.readline().strip()
         if header not in _SAMPLE_COLUMNS:
@@ -108,10 +107,10 @@ def read_sample_csv(path, source: str | None = None) -> SampleSet:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty file warns; the validator reports it
                 values = np.loadtxt(fh, delimiter=",", usecols=column, comments=None, ndmin=2)
-        except ValueError:
-            values = np.empty((0, 0))
-        if values.size and values.shape[1] == 1 and np.all(np.isfinite(values) & (values > 0)):
-            return SampleSet(values[:, 0], source=source)
+            if values.shape[1] == 1:
+                return SampleSet(values[:, 0], source=str(path))
+        except ValueError:  # a row loadtxt cannot parse, or a value SampleSet refuses
+            pass
         bad, rows = [], []  # (line, why) pairs and accepted values
         fh.seek(0)  # rewind: the line-numbered validator rereads every row
         fh.readline()
@@ -135,7 +134,7 @@ def read_sample_csv(path, source: str | None = None) -> SampleSet:
         raise SampleCsvError(f"invalid rows: {shown}{more}", [ln for ln, _ in bad])
     if not rows:
         raise SampleCsvError("CSV contains no data rows", [])
-    return SampleSet(np.array(rows), source=source)
+    return SampleSet(np.array(rows), source=str(path))
 
 
 def write_sample_csv(path, samples: SampleSet) -> None:
@@ -228,8 +227,9 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
 
     The profile runs BLOCK_ROWS candidates at a time, each block checked for
     equal logs first; elementwise work has the same bits in any block.
-    ``prefix`` stays one cumsum, since a blocked cumsum rounds differently,
-    and ``starts`` and ``ll`` stay full length, so the tie window over the
+    ``prefix`` is one whole cumsum: a blocked ``np.cumsum(block) + carry``
+    rounds differently (prepending the carry to ``np.add.accumulate`` would
+    not). ``starts`` and ``ll`` stay full length, so the tie window over the
     global maximum and the tie-break see every candidate.
     """
     x, logs = samples.sorted, samples.logs

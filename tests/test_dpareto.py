@@ -23,7 +23,7 @@ from gbmtails.dpareto import (
     solve_exponents_canonical,
     solve_exponents_signed,
 )
-from gbmtails.killing import KillSchedule
+from gbmtails.killing import KillSchedule, kill_time_from_uniform
 from gbmtails.rng import RngStream
 from gbmtails.sde import GbmParams
 
@@ -238,6 +238,46 @@ class TestDensity:
             epsabs=1e-13, epsrel=1e-13, limit=200,
         )[0]
         assert abs(lower + upper - 1.0) <= 1e-9
+
+
+LAWS = [DIST, DoubleParetoDist(1.0, 1.5, 0.8),
+        DoubleParetoDist(3.5, 0.28077640640441515, 1.7807764064044149),
+        DoubleParetoDist(2e-3, 12.0, 0.05), DoubleParetoDist(7e2, 0.07, 9.0)]
+
+
+def _and_neighbours(v: float) -> list[float]:
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=lambda d: f"c={d.center:g},m1={d.m1:g},m2={d.m2:g}")
+def test_a_scalar_gets_the_bits_of_its_array_element(dist):
+    c, m1, m2, split = dist.center, dist.m1, dist.m2, dist.split
+    p = np.random.default_rng(1).uniform(0.001, 0.999, 1_000)
+    p = np.concatenate([p, _and_neighbours(split)])
+    x = np.concatenate([c * np.exp(np.random.default_rng(2).normal(0.0, 3.0, 1_000)),
+                        _and_neighbours(c)])
+    ratio, norm = x / c, m1 * m2 / ((m1 + m2) * c)
+    schedule = KillSchedule(nu=m1)  # any rate: the kill time is here for its scalar rule
+    # each side's formula over the whole array, picked by np.where: evaluating
+    # a side on its own elements must not change their bits
+    cases = {
+        dpareto_pdf: (x, np.where(ratio <= 1.0, norm * ratio ** (m2 - 1.0),
+                                  norm * ratio ** (-m1 - 1.0))),
+        dpareto_cdf: (x, np.where(ratio <= 1.0, (m1 / (m1 + m2)) * ratio ** m2,
+                                  1.0 - (m2 / (m1 + m2)) * ratio ** (-m1))),
+        dpareto_quantile: (p, np.where(p < split, c * (p / split) ** (1.0 / m2), np.where(
+            p == split, c, c * ((1.0 - p) * (m1 + m2) / m2) ** (-1.0 / m1)))),
+        lambda _, u: kill_time_from_uniform(u, schedule): (p, -np.log1p(-p) / m1),
+    }
+    for fn, (args, want) in cases.items():
+        got = fn(dist, args)
+        assert got.tobytes() == want.tobytes()
+        for v, element in zip(args.tolist(), got):
+            for arg in (v, np.float64(v), np.array(v)):
+                one = fn(dist, arg)
+                assert type(one) is float, (fn, arg)
+                assert np.float64(one).tobytes() == element.tobytes(), (fn, v)
+    assert dpareto_quantile(dist, split) == c
 
 
 class TestLogMgf:

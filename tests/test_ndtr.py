@@ -81,8 +81,9 @@ def test_numpy_log_in_either_tail_log_would_fail(log_sensitive, swapped):
 
 def test_ndtri_of_scalars_and_2d_blocks(uniforms, log_sensitive):
     assert ndtri(0.5) == 0.0 and type(ndtri(0.5)) is float
-    # the scalar path takes each branch: both tails, P2/Q2, the centre, and
-    # the inputs that tell the C library's log from numpy's
+    # a scalar runs the array body as a one-element array; check it in each
+    # branch: both tails, P2/Q2, the centre, and the inputs that tell the C
+    # library's log from numpy's
     picks = np.concatenate([uniforms[:2_000], K[:100] * U_FLOOR, 1.0 - K[:100] * U_FLOOR,
                             *log_sensitive.values()])
     for v in picks.tolist():
