@@ -205,6 +205,9 @@ def _fitted_m1(report: FitReport) -> float:
     return math.nan
 
 
+_SEED_STRIDE = 100000  # run seeds of consecutive sweep points lie this far apart
+
+
 def run_sweep(
     base: HiaParams,
     vary: str,
@@ -217,8 +220,10 @@ def run_sweep(
 
     Returns per-point means of effective_alpha and fitted m1 plus the
     Spearman rank correlation between the varied values and mean m1. Run
-    seeds are ``master_seed + 100000 * point_index + replicate``. The runs are
-    independent and go to ``map(run_hia, params_list, seeds)``: serial by
+    seeds are ``master_seed + 100000 * point_index + replicate``, so more
+    than 100000 seeds, or a master seed that puts the last run seed past
+    2**64 - 1, is rejected before any run: either would alias runs. The runs
+    are independent and go to ``map(run_hia, params_list, seeds)``: serial by
     default, while the ``sweep`` command passes its process map on 2 or more
     usable CPUs. A map that returns results in order gives the same result.
     """
@@ -230,12 +235,19 @@ def run_sweep(
     n_seeds = int(n_seeds)
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    if n_seeds > _SEED_STRIDE:
+        raise ValueError(f"n_seeds must be <= {_SEED_STRIDE}, got {n_seeds}")
+    max_seed = 2**64 - 1 - _SEED_STRIDE * (len(values) - 1) - (n_seeds - 1)
+    if master_seed > max_seed:
+        raise ValueError(f"master seed {master_seed} puts run seeds past 2**64 - 1; "
+                         f"{len(values)} points x {n_seeds} seeds allow at most {max_seed}")
 
     grid = [replace(base, **{vary: v}) for v in values]
     runs = list(map(
         run_hia,
         [params for params in grid for _ in range(n_seeds)],
-        [master_seed + 100000 * pi + rep for pi in range(len(grid)) for rep in range(n_seeds)],
+        [master_seed + _SEED_STRIDE * pi + rep
+         for pi in range(len(grid)) for rep in range(n_seeds)],
     ))
     points = []
     for pi, params in enumerate(grid):

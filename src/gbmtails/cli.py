@@ -3,16 +3,17 @@
 Every file-producing command writes its artifacts atomically and drops a run
 manifest (``<out>.manifest.json``) recording the command, the fully merged
 parameters, the master seed, the package version, the Python and numpy
-versions the output bytes rest on, and a sha256 digest per output file;
-``hia`` and ``sweep`` manifests also record ``clamped``, the agent updates
-raised to the floor (summed over a sweep's runs). ``gbmtails replay
-<manifest>`` re-executes the recorded run, hashes the regenerated outputs in
-memory, and checks both them and the on-disk files against the recorded
-digests, resolving relative paths against the directory the run was made in;
-replay writes no file, needs no temp directory, and ignores ``clamped``. It
-warns on stderr for each library whose version differs from the recorded one,
-but only the digests decide its exit code. Files it reads are decoded as argv
-is (``serialization.open_text``), so a manifest replays under any locale.
+versions and numpy's SIMD kernels the output bytes rest on, and a sha256
+digest per output file; ``hia`` and ``sweep`` manifests also record
+``clamped``, the agent updates raised to the floor (summed over a sweep's
+runs). ``gbmtails replay <manifest>`` re-executes the recorded run, hashes the
+regenerated outputs in memory, and checks both them and the on-disk files
+against the recorded digests, resolving relative paths against the directory
+the run was made in; replay writes no file, needs no temp directory, and
+ignores ``clamped``. It warns on stderr for each library version or kernel
+set that differs from the recorded one, but only the digests decide its exit
+code. Files it reads are decoded as argv is (``serialization.open_text``), so a
+manifest replays under any locale.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 invariant violation (e.g. a replay that fails to reproduce).
@@ -450,8 +451,15 @@ def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
 
 
 def _libraries() -> dict:
-    """Versions of what the output bytes rest on besides this package."""
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """What the output bytes rest on besides this package: the Python and numpy
+    versions and numpy's SIMD kernels, which set the bits of ``np.exp`` and
+    ``np.log``; a numpy whose ``show_config`` has no ``mode`` records none."""
+    libraries = {"python": platform.python_version(), "numpy": np.__version__}
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except TypeError:
+        return libraries
+    return {**libraries, "numpy_simd": " ".join(simd)}
 
 
 def _manifest_path(out_path: str) -> str:

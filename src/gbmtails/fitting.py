@@ -168,8 +168,9 @@ def hill_estimator(samples: SampleSet, k: int) -> float:
     top = samples.logs[n - k :]
     threshold = math.log(x[n - k - 1])
     denom = float(np.sum(top) - k * threshold)
-    # equal logs can leave a positive denominator made of rounding alone
-    if denom <= 0.0 or top[-1] == threshold:
+    # judge ties on the summed logs: libm's log of an equal threshold can round
+    # below numpy's; the denominator keeps libm's, which sets untied fits' bits
+    if denom <= 0.0 or top[-1] == samples.logs[n - k - 1]:
         raise DegenerateInputError(
             "zero log-spacings in the upper tail (tied order statistics)"
         )
@@ -179,20 +180,17 @@ def hill_estimator(samples: SampleSet, k: int) -> float:
 def fit_lognormal(samples: SampleSet) -> tuple[float, float, float]:
     """Closed-form lognormal MLE: (mu_hat, sigma_hat, log_likelihood).
 
-    sigma_hat is the population standard deviation of the logs. A zero
-    sigma_hat marks a degenerate point-mass fit and is flagged with an
-    infinite log-likelihood.
+    sigma_hat is the population standard deviation of the logs. Raises
+    DegenerateInputError when all logs are equal, as distinct values' logs
+    can be; otherwise sigma_hat is positive.
     """
-    x, logs = samples.sorted, samples.logs
-    n = x.size
-    if n < 2:
+    logs = samples.logs
+    if logs.size < 2:
         raise ValueError("lognormal fit needs n >= 2")
+    if logs[0] == logs[-1]:  # rounding can hide a point mass in the moments
+        raise DegenerateInputError("zero log-variance: point-mass lognormal fit")
     mu = float(np.mean(logs))
-    if logs[0] == logs[-1]:  # point mass in float64 logs; rounding can hide it in the moments
-        return math.log(x[0]), 0.0, math.inf
     sigma = float(math.sqrt(np.mean((logs - mu) ** 2)))
-    if sigma == 0.0:
-        return mu, 0.0, math.inf
     return mu, sigma, _lognormal_loglik(logs, mu, sigma)
 
 
@@ -436,8 +434,6 @@ def _fit_one(model: str, samples: SampleSet, hill_k) -> ModelFit:
         params = {"center": center, "m1": m1, "m2": m2}
     elif model == MODEL_LOGNORMAL:
         mu, sigma, ll = fit_lognormal(samples)
-        if sigma == 0.0:
-            raise DegenerateInputError("zero log-variance: point-mass lognormal fit")
         ks = _ks_statistic(lambda logs: ndtr((logs - mu) / sigma), samples.logs)
         params = {"mu": mu, "sigma": sigma}
     elif model == MODEL_PARETO_TAIL:

@@ -295,6 +295,24 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_sweep(base, "noise_std", [0.1, 0.2], 0, 0)
 
+    def test_rejects_seed_layouts_that_alias_before_any_run(self):
+        base = params(n_agents=40, steps=3)
+        top = 2**64 - 1 - 100000 - 1  # the largest master seed for 2 points x 2 seeds
+        calls = []
+
+        def recording(fn, params_list, seeds):
+            calls.append(seeds)
+            return map(fn, params_list, seeds)
+
+        run_sweep(base, "noise_std", [0.1, 0.2], 2, top, map=recording)
+        assert calls == [[top, top + 1, top + 100000, 2**64 - 1]]
+        with pytest.raises(ValueError, match=f"master seed {top + 1} .* at most {top}$"):
+            run_sweep(base, "noise_std", [0.1, 0.2], 2, top + 1, map=recording)
+        # replicate 100000 of point 0 would rerun replicate 0 of point 1
+        with pytest.raises(ValueError, match="n_seeds must be <= 100000, got 100001"):
+            run_sweep(base, "noise_std", [0.1, 0.2], 100_001, 0, map=recording)
+        assert len(calls) == 1
+
 
 def reference_modal(labels):
     """The sweep's modal model written out as a counting loop."""

@@ -490,6 +490,16 @@ class TestSeedRange:
         assert code == 2
         assert "seed" in err
 
+    def test_sweep_whose_run_seeds_pass_64_bits_exits_2(self, capsys, tmp_path):
+        # point 1's run seed would be 2**64 - 1 + 100000; the error names the seed given
+        out_path = tmp_path / "sw.csv"
+        code, _, err = run_cli(capsys, "sweep", "--points", "2", "--seeds", "1", "--agents",
+                               "20", "--steps", "2", "--seed", str(2**64 - 1),
+                               "--out", str(out_path))
+        assert code == 2
+        assert f"master seed {2**64 - 1} puts run seeds past 2**64 - 1" in err
+        assert not out_path.exists()
+
 
 class TestKilledFitInput:
     """Killed-batch CSVs read by ``fit``: the loadtxt fast path and the
@@ -775,22 +785,38 @@ class TestConfigAndReplay:
                 "--out", str(out_path))
         manifest_path = tmp_path / "s.json.manifest.json"
         doc = json.loads(manifest_path.read_text())
+        simd = " ".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
         assert doc["libraries"] == {"python": platform.python_version(),
-                                    "numpy": np.__version__}
+                                    "numpy": np.__version__, "numpy_simd": simd}
         assert run_cli(capsys, "replay", str(manifest_path))[::2] == (0, "")
         doc["libraries"]["numpy"] = "1.0.0"
         manifest_path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "replay", str(manifest_path))
         assert code == 0 and json.loads(out)["reproduced"] is True
         assert err.count("warning:") == 1 and "numpy 1.0.0" in err
+        doc["libraries"] = {**doc["libraries"], "numpy": np.__version__, "numpy_simd": "X86_V2"}
+        manifest_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 0 and json.loads(out)["reproduced"] is True
+        assert err.count("warning:") == 1 and "numpy_simd X86_V2, this replay uses" in err
         del doc["libraries"]
         manifest_path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "replay", str(manifest_path))
-        assert code == 0 and err.count("warning:") == 2
+        assert code == 0 and err.count("warning:") == 3
         doc["libraries"] = ["numpy"]
         manifest_path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "replay", str(manifest_path))
         assert code == 2 and out == "" and "libraries" in err
+
+    def test_numpy_without_show_config_mode_records_no_kernels(self, capsys, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda: None)  # numpy 1.24's signature
+        out_path = tmp_path / "s.json"
+        assert run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                       "--out", str(out_path))[0] == 0
+        doc = json.loads((tmp_path / "s.json.manifest.json").read_text())
+        assert doc["libraries"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__}
 
     def test_replay_reproduces_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"

@@ -8,8 +8,10 @@ numpy Spearman; the ``*_past_read_ahead`` digests by one
 ``substream(i).uniform()`` call per agent per step, before the 64-step
 blocks; the 100k-point ``figure1`` digest, the benchmark's pin, by the
 per-point exponent solver, before the shared array body; the ``solve``
-digests by the report built field by field, before ``asdict``); any change
-to them is a change to the program's output bytes.
+digests by the report built field by field, before ``asdict``; the
+degenerate ``fit`` digests by the lognormal fit's point-mass sentinel, before
+every estimator raised); any change to them is a change to the program's
+output bytes.
 """
 
 import hashlib
@@ -68,6 +70,19 @@ def test_fit_gbm(tmp_path, capsys, monkeypatch):
     assert main(["fit", "g1.csv"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "27f82032a2fc6859b37ff26e421a3407ddc59b185a02695edaa6dd74e861ddd3"
+
+
+@pytest.mark.parametrize("rows,digest", [
+    (["2.0"] * 12,  # a point mass: every model is listed under errors
+     "7d3bcc364837ba4a39ffc310b64d9a9f7dd193d94bd6b93acdab7a3c91fbe6f0"),
+    ([repr(1e300 * (1 + k * 2.3e-16)) for k in range(39)],  # distinct values, equal logs
+     "3870f5f52e60d2051a87c02a6bfb6ffd0c11f8a7f70ed2b0c891d0f93fc3601d"),
+])
+def test_fit_degenerate(tmp_path, capsys, monkeypatch, rows, digest):
+    monkeypatch.chdir(tmp_path)  # the report names its input path
+    (tmp_path / "d.csv").write_text("value\n" + "".join(f"{row}\n" for row in rows))
+    assert main(["fit", "d.csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def _in_7_row_blocks(monkeypatch) -> None:
