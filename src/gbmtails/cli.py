@@ -4,16 +4,19 @@ Every file-producing command writes its artifacts atomically and drops a run
 manifest (``<out>.manifest.json``) recording the command, the fully merged
 parameters, the master seed, the package version, the Python and numpy
 versions and numpy's SIMD kernels the output bytes rest on, and a sha256
-digest per output file; ``hia`` and ``sweep`` manifests also record
-``clamped``, the agent updates raised to the floor (summed over a sweep's
-runs). ``gbmtails replay <manifest>`` re-executes the recorded run, hashes the
-regenerated outputs in memory, and checks both them and the on-disk files
-against the recorded digests, resolving relative paths against the directory
-the run was made in; replay writes no file, needs no temp directory, and
-ignores ``clamped``. It warns on stderr for each library version or kernel
-set that differs from the recorded one, but only the digests decide its exit
-code. Files it reads are decoded as argv is (``serialization.open_text``), so a
-manifest replays under any locale.
+digest per output file; ``fit`` manifests also record ``inputs``, the sha256
+of the sample read, and ``hia`` and ``sweep`` manifests ``clamped``, the agent
+updates raised to the floor (summed over a sweep's runs). ``gbmtails replay
+<manifest>`` checks that each recorded input is unchanged (exit 2 if not),
+re-executes the recorded run, hashes the regenerated outputs in memory, and
+checks both them and the on-disk files against the recorded digests,
+resolving relative paths against the directory the run was made in, which
+the manifest records as ``run_dir`` when its first output lies outside it;
+replay writes no file, needs no temp directory, and ignores ``clamped``. It
+warns on stderr for each library version or kernel set that differs from the
+recorded one, but only the digests decide its exit code. Files it reads are
+decoded as argv is (``serialization.open_text``), so a manifest replays under
+any locale.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 internal
 invariant violation (e.g. a replay that fails to reproduce).
@@ -248,9 +251,13 @@ def _exec_fit(p: dict) -> CommandResult:
             raise ValueError("--hill-k applies only to the pareto_tail model")
         if p["hill_k"] < 2:  # k < n depends on the data: a pareto_tail error
             raise ValueError(f"--hill-k must be >= 2, got {p['hill_k']}")
+    # hashed before it is read, so that replay can tell a changed input
+    inputs = [{"path": p["input"], "sha256": sha256_file(p["input"])}] if p["out"] else []
     samples = read_sample_csv(p["input"])
     report = compare_models(samples, models=models, hill_k=p["hill_k"])
-    return _text_result(dumps(report.to_json_dict()), p["out"])
+    result = _text_result(dumps(report.to_json_dict()), p["out"])
+    result.record["inputs"] = inputs
+    return result
 
 
 def _hia_params(p: dict) -> HiaParams:
@@ -428,6 +435,12 @@ def _read_json_object(path: str, what: str) -> dict:
     return doc
 
 
+def _outside(path: str) -> bool:
+    """Whether ``path`` is absolute or leaves the directory it is relative to."""
+    path = os.path.normpath(path)
+    return os.path.isabs(path) or path.split(os.sep)[0] == os.pardir
+
+
 def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
     outputs = []
     for art in result.artifacts:
@@ -443,7 +456,7 @@ def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
             "outputs": outputs,
             **result.record,
         }
-        if os.path.isabs(outputs[0]["path"]):
+        if _outside(outputs[0]["path"]):
             # the manifest's own path no longer tells where the run was made
             manifest["run_dir"] = os.getcwd()
         atomic_write_text(_manifest_path(result.artifacts[0].path), dumps(manifest))
@@ -460,6 +473,14 @@ def _libraries() -> dict:
     except TypeError:
         return libraries
     return {**libraries, "numpy_simd": " ".join(simd)}
+
+
+def _digest_list(entries) -> bool:
+    """Whether ``entries`` is a list of ``{path, sha256}`` strings, as a manifest records files."""
+    return isinstance(entries, list) and all(
+        isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("path", "sha256"))
+        for e in entries
+    )
 
 
 def _manifest_path(out_path: str) -> str:
@@ -486,6 +507,10 @@ def _run_command(command: str, args: argparse.Namespace) -> int:
         parent = os.path.dirname(os.path.abspath(params["out"]))
         if not os.path.isdir(parent):
             raise ValueError(f"output directory does not exist: {parent}")
+    out, source = params["out"], params.get("input")
+    if source and out and os.path.exists(out) and os.path.exists(source):
+        if os.path.samefile(out, source):
+            raise ValueError(f"--out {out!r} is the input {source!r}; {command} would overwrite it")
     result = _dispatch(command, params)
     outputs = _write_artifacts(command, params, result)
     if result.stdout_text is not None:
@@ -503,11 +528,11 @@ def _run_replay(args: argparse.Namespace) -> int:
     command, outputs = manifest["command"], manifest["outputs"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ValueError(f"manifest names unknown command {command!r}")
-    if not (isinstance(outputs, list) and outputs and all(
-        isinstance(o, dict) and all(isinstance(o.get(k), str) for k in ("path", "sha256"))
-        for o in outputs
-    )):
+    if not (outputs and _digest_list(outputs)):
         raise ValueError("manifest outputs must be a non-empty list of {path, sha256} strings")
+    inputs = manifest.get("inputs", [])  # none before manifests recorded them
+    if not _digest_list(inputs):
+        raise ValueError("manifest inputs must be a list of {path, sha256} strings")
     params = _params(command, manifest["params"], "manifest params")
     recorded_libraries = manifest.get("libraries", {})
     if not isinstance(recorded_libraries, dict):
@@ -520,21 +545,27 @@ def _run_replay(args: argparse.Namespace) -> int:
     # Relative recorded paths (outputs, fit's input) resolve against the run's
     # directory, and stay the recorded strings so the digests still match. The
     # manifest was written to <run dir>/<first output>.manifest.json; its own
-    # directory differs when --out had a directory part.
-    tail = os.path.normpath(_manifest_path(outputs[0]["path"]))
+    # directory differs when --out had a directory part. When the first output
+    # lies outside the run's directory, the manifest records that directory.
+    name = os.path.normpath(_manifest_path(outputs[0]["path"]))
     here = os.path.abspath(args.manifest)
-    run_dir = here[: len(here) - len(tail)]  # "" when the output path is absolute
-    if not (here.endswith(tail) and (run_dir == "" or run_dir.endswith(os.sep))):
-        raise ValueError(f"manifest path {args.manifest!r} does not end with its recorded "
-                         f"name {tail!r}, so the run's directory is unknown")
-    if run_dir == "":
+    if _outside(name):
         run_dir = manifest.get("run_dir")
         if not (isinstance(run_dir, str) and os.path.isabs(run_dir)):
-            raise ValueError("manifest with an absolute first output needs an absolute "
-                             f"'run_dir' string, got {run_dir!r}")
+            raise ValueError("manifest whose first output lies outside the run's directory "
+                             f"needs an absolute 'run_dir' string, got {run_dir!r}")
+    else:
+        run_dir = here[: len(here) - len(name)]
+    if os.path.normpath(os.path.join(run_dir, name)) != here:
+        raise ValueError(f"manifest path {args.manifest!r} is not its recorded name {name!r} "
+                         "in the run's directory, so the run's directory is unknown")
     home = os.getcwd()
     os.chdir(run_dir)
     try:
+        for entry in inputs:
+            if sha256_file(entry["path"]) != entry["sha256"]:
+                raise ValueError(f"input {entry['path']!r} has changed since the run: "
+                                 "its sha256 is not the recorded one")
         result = _dispatch(command, params)
         # Hash the regenerated bytes in memory: replay only checks, it writes nothing.
         produced = {art.path: sha256_written(art.write) for art in result.artifacts}

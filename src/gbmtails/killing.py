@@ -19,7 +19,7 @@ import numpy as np
 
 from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 from .sde import GbmParams, levels_from_logs, terminal_log_from_normals
-from .serialization import BATCH_CSV_HEADER, BLOCK_ROWS, atomic_write, write_float_rows, write_text
+from .serialization import BATCH_CSV_HEADER, atomic_write, write_float_rows, write_text
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,10 @@ def killed_rows_range(
 
     Row i is a pure function of (params, schedule, master_seed, i), which is
     what makes sharding across workers reassemble byte-identically, and
-    blocking too: the uniforms are drawn and mapped BLOCK_ROWS rows at a time
-    into the one (hi - lo, 2) result, so the working set beyond that result
-    is one block's uniforms and kernel temporaries, whatever the range.
+    blocking too (``StreamUniformBlock.rows``).
     """
-    uniforms, out = StreamUniformBlock(master_seed, 2), np.empty((hi - lo, 2))
-    for a in range(0, hi - lo, BLOCK_ROWS):
-        b = min(a + BLOCK_ROWS, hi - lo)
-        out[a:b] = _killed_rows(params, schedule, uniforms.take(lo + a, b - a))
-    return out
+    return StreamUniformBlock(master_seed, 2).rows(
+        lambda u: _killed_rows(params, schedule, u), lo, hi, np.empty((hi - lo, 2)))
 
 
 def killed_rows_text(

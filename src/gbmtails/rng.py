@@ -6,9 +6,9 @@ a thin stateful wrapper over a counter-based bit generator keyed by
 distinct ``stream_id`` values give statistically independent streams, which
 is how batch samplers and agent simulations get scheduling-independent
 parallelism: partition work by stream, never by sharing a stream. Batch
-samplers take the leading uniforms of many streams at once from
-:class:`StreamUniformBlock`, which evaluates Philox itself and so depends
-on no private bit-generator state.
+samplers fill their rows through :meth:`StreamUniformBlock.rows`, which
+takes the leading uniforms of ``BLOCK_ROWS`` streams at a time; the block
+evaluates Philox itself and so depends on no private bit-generator state.
 
 Normal variates are produced by applying the inverse normal CDF to the
 uniform stream. The monotone coupling this induces (larger uniform, larger
@@ -166,23 +166,33 @@ class StreamUniformBlock:
         self.width = int(width)
 
     def take(self, start: int, n: int) -> np.ndarray:
-        """Array of shape (n, width): row j = first draws of stream start+j."""
+        """Array of shape (n, width): row j = first draws of stream start+j, in one array pass."""
         start, n = int(start), int(n)
         if start < 0 or n < 0:
             raise ValueError("start and n must be non-negative")
         if start + n > (1 << 64):
             raise ValueError("stream ids must stay below 2**64")
         out = np.empty((n, self.width))
-        for lo in range(0, n, BLOCK_ROWS):  # streams per array pass
-            hi = min(lo + BLOCK_ROWS, n)
-            ids = np.arange(hi - lo, dtype=np.uint64)
-            ids += np.uint64(start + lo)
-            # numpy's Philox bumps the counter before its first block
-            for block, col in enumerate(range(0, self.width, 4), start=1):
-                words = _philox4x64(block, self.seed, ids)
-                for word, c in zip(words, range(col, min(col + 4, self.width))):
-                    # top 53 bits scaled to [0, 1), as Generator.random does
-                    np.multiply(word >> np.uint64(11), 2.0 ** -53, out=out[lo:hi, c])
+        ids = np.arange(n, dtype=np.uint64) + np.uint64(start)
+        # numpy's Philox bumps the counter before its first block
+        for block, col in enumerate(range(0, self.width, 4), start=1):
+            words = _philox4x64(block, self.seed, ids)
+            for word, c in zip(words, range(col, min(col + 4, self.width))):
+                # top 53 bits scaled to [0, 1), as Generator.random does
+                np.multiply(word >> np.uint64(11), 2.0 ** -53, out=out[:, c])
+        return out
+
+    def rows(self, kernel, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out[a:b] = kernel(self.take(lo + a, b - a))``, BLOCK_ROWS streams at a time.
+
+        Returns ``out``, which holds the rows of streams lo..hi-1. ``kernel``
+        maps each stream's uniforms to its row alone, so blocking changes no
+        byte, and the working set beyond ``out`` is one block's uniforms and
+        kernel temporaries, whatever the range.
+        """
+        for a in range(0, hi - lo, BLOCK_ROWS):
+            b = min(a + BLOCK_ROWS, hi - lo)
+            out[a:b] = kernel(self.take(lo + a, b - a))
         return out
 
 

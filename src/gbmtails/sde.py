@@ -143,8 +143,9 @@ def sample_terminal_log_batch(
     if n < 1:
         raise ValueError("n must be >= 1")
     terminal_log_law(params, t)  # rejects a bad horizon and a law that is not finite
-    u = StreamUniformBlock(master_seed, width=1).take(0, n)[:, 0]
-    return terminal_log_from_normals(params, float(t), normals_from_uniforms(u))
+    return StreamUniformBlock(master_seed, width=1).rows(
+        lambda u: terminal_log_from_normals(params, float(t), normals_from_uniforms(u[:, 0])),
+        0, n, np.empty(n))
 
 
 def sample_terminal_levels(

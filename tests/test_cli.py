@@ -291,6 +291,15 @@ class TestFit:
         doc = json.loads(out)
         assert doc["preferred"] == "double_pareto"
 
+    def test_fit_refuses_to_overwrite_its_input(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        csv = self.make_killed_csv(capsys, tmp_path, n=200)
+        before = csv.read_bytes(), (tmp_path / "killed.csv.manifest.json").read_bytes()
+        for out_path in ("killed.csv", "./killed.csv", str(csv)):
+            code, out, err = run_cli(capsys, "fit", "killed.csv", "--out", out_path)
+            assert code == 2 and out == "" and out_path in err and "'killed.csv'" in err
+        assert (csv.read_bytes(), (tmp_path / "killed.csv.manifest.json").read_bytes()) == before
+
     def test_fit_gbm_output_prefers_lognormal(self, capsys, tmp_path):
         csv = tmp_path / "gbm.csv"
         run_cli(capsys, "simulate", "--mode", "gbm", "--r", "0.05", "--alpha",
@@ -769,6 +778,50 @@ class TestConfigAndReplay:
         del doc["run_dir"]
         manifest_path.write_text(json.dumps(doc))
         assert run_cli(capsys, "replay", "f.json.manifest.json")[0] == 2
+
+    def test_replay_of_an_output_above_the_run_directory(self, capsys, tmp_path, monkeypatch):
+        """--out ../g.csv: the manifest records run_dir, and replays from either directory."""
+        (tmp_path / "m").mkdir()
+        monkeypatch.chdir(tmp_path / "m")
+        run_cli(capsys, "simulate", "--mode", "gbm", "--r", "0.05", "--alpha", "0.5",
+                "--t", "10", "--n", "200", "--seed", "4", "--out", "g.csv")
+        assert run_cli(capsys, "fit", "g.csv", "--out", "../f.json")[0] == 0
+        doc = json.loads((tmp_path / "f.json.manifest.json").read_text())
+        assert doc["run_dir"] == str(tmp_path / "m")
+        for where, manifest in ((tmp_path / "m", "../f.json.manifest.json"),
+                                (tmp_path, "f.json.manifest.json")):
+            monkeypatch.chdir(where)
+            code, out, _ = run_cli(capsys, "replay", manifest)
+            assert code == 0 and json.loads(out)["reproduced"] is True
+            assert os.getcwd() == str(where)
+        os.rename(tmp_path / "f.json.manifest.json", tmp_path / "m" / "f.json.manifest.json")
+        code, out, err = run_cli(capsys, "replay", "m/f.json.manifest.json")
+        assert code == 2 and out == "" and "m/f.json.manifest.json" in err
+
+    def test_replay_names_a_changed_input(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        gbm = ("simulate", "--mode", "gbm", "--r", "0.05", "--alpha", "0.5", "--t", "10",
+               "--n", "200", "--out", "g.csv")
+        run_cli(capsys, *gbm, "--seed", "4")
+        assert run_cli(capsys, "fit", "g.csv", "--out", "f.json")[0] == 0
+        doc = json.loads((tmp_path / "f.json.manifest.json").read_text())
+        assert doc["inputs"] == [{"path": "g.csv", "sha256": sha256_file("g.csv")}]
+        run_cli(capsys, *gbm, "--seed", "5")
+        code, out, err = run_cli(capsys, "replay", "f.json.manifest.json")
+        assert code == 2 and out == "" and "'g.csv'" in err
+        os.remove("g.csv")
+        assert run_cli(capsys, "replay", "f.json.manifest.json")[:2] == (3, "")
+        for inputs in ("g.csv", [{"path": "g.csv"}], None):
+            (tmp_path / "f.json.manifest.json").write_text(json.dumps({**doc, "inputs": inputs}))
+            code, out, err = run_cli(capsys, "replay", "f.json.manifest.json")
+            assert code == 2 and out == "" and "inputs" in err
+        # a manifest written before inputs were recorded replays as it did
+        del doc["inputs"]
+        (tmp_path / "f.json.manifest.json").write_text(json.dumps(doc))
+        run_cli(capsys, *gbm, "--seed", "5")
+        assert run_cli(capsys, "replay", "f.json.manifest.json")[0] == 4
+        run_cli(capsys, *gbm, "--seed", "4")
+        assert run_cli(capsys, "replay", "f.json.manifest.json")[0] == 0
 
     def test_manifest_of_a_relative_output_records_no_directory(self, capsys, tmp_path,
                                                                 monkeypatch):

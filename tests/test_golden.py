@@ -94,7 +94,7 @@ def _in_7_row_blocks(monkeypatch) -> None:
         if hasattr(module, "BLOCK_ROWS"):
             monkeypatch.setattr(module, "BLOCK_ROWS", 7)
             patched.add(info.name)
-    assert patched >= {"fitting", "killing", "rng", "serialization"}
+    assert patched >= {"fitting", "rng", "serialization"}
 
 
 # The same digests with every pass over a sample in 7-row blocks.
@@ -102,6 +102,11 @@ def _in_7_row_blocks(monkeypatch) -> None:
 def test_simulate_killed_in_7_row_blocks(tmp_path, capsys, monkeypatch, workers):
     _in_7_row_blocks(monkeypatch)
     test_simulate_killed(tmp_path, capsys, workers)
+
+
+def test_simulate_gbm_in_7_row_blocks(tmp_path, capsys, monkeypatch):
+    _in_7_row_blocks(monkeypatch)
+    test_simulate_gbm(tmp_path, capsys)
 
 
 def test_simulate_killed_in_7_row_jobs(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from scipy.special import ndtri
 from scipy.stats import kstest
 
 from gbmtails.rng import RngStream, StreamUniformBlock, normals_from_uniforms
+from gbmtails.serialization import BLOCK_ROWS
 
 
 def test_identical_keys_replay_identical_sequences():
@@ -114,6 +115,13 @@ def test_uniform_block_chunk_edges(n):
     edges = {0, 16_383, 16_384, 32_767, 32_768, 65_535, 65_536, n - 1}
     for j in sorted(e for e in edges if 0 <= e < n):
         assert block[j].tobytes() == _numpy_first_draws(seed, start + j, width).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_rows_in_blocks_equal_one_pass(n):
+    block, lo = StreamUniformBlock(2**63 + 5, 3), 2**64 - 3 * BLOCK_ROWS
+    rows = block.rows(lambda u: u, lo, lo + n, np.empty((n, 3)))
+    assert rows.tobytes() == block.take(lo, n).tobytes()
 
 
 def test_seeds_outside_64_bits_are_rejected():
