@@ -13,10 +13,11 @@ so the result does not depend on agent evaluation order. Agent i's k-th
 shock (the initial size is shock 0) is the inverse-CDF normal of draw k of
 substream i of the master stream, so exchanging two agents exchanges their
 whole shock histories and the update commutes with relabeling. ``_shocks``
-draws that schedule 64 steps at a time; ``init_population`` and
-``step_population`` take their shocks as arguments. Sizes are clamped at a
-positive floor instead of killing agents, which keeps the population fixed
-and the fitted tail exponents comparable across a sweep.
+draws that schedule 64 steps at a time and makes the normals BLOCK_ROWS
+values at a time; ``init_population`` and ``step_population`` take their
+shocks as arguments. Sizes are clamped at a positive floor instead of
+killing agents, which keeps the population fixed and the fitted tail
+exponents comparable across a sweep.
 
 With both couplings at zero every agent is an independent discrete-time
 GBM and the size distribution stays lognormal; with positive couplings the
@@ -41,6 +42,7 @@ from .fitting import (
     compare_models,
 )
 from .rng import RngStream, normals_from_uniforms
+from .serialization import BLOCK_ROWS
 
 # Steps of shocks drawn from each agent substream at a time.
 _BLOCK = 64
@@ -143,11 +145,19 @@ def step_population(pop: Population, params: HiaParams, z) -> Population:
 
 def _shocks(rng: RngStream, n: int, count: int):
     """Yield shocks 0..count-1 of agents 0..n-1; shock k of agent i is the
-    normal of draw k of ``rng.substream(i)``, which advances by exactly count."""
+    normal of draw k of ``rng.substream(i)``, which advances by exactly count.
+    The elementwise transform runs on BLOCK_ROWS values at a time."""
     for lo in range(0, count, _BLOCK):
         width = min(_BLOCK, count - lo)
-        u = np.array([rng.substream(i).uniforms(width) for i in range(n)])
-        yield from np.ascontiguousarray(normals_from_uniforms(u).T)
+        u = np.empty((n, width))
+        for i in range(n):
+            u[i] = rng.substream(i).uniforms(width)
+        z = np.empty((width, n))
+        agents = max(1, BLOCK_ROWS // width)
+        for a in range(0, n, agents):
+            z[:, a:a + agents] = normals_from_uniforms(u[a:a + agents]).T
+        del u  # only the block of shocks stays while its rows are used
+        yield from z
 
 
 def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]:
@@ -162,14 +172,15 @@ def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]
         raise ValueError("run_hia needs n_agents >= 10 for the model comparison")
     shocks = _shocks(RngStream(seed, 0), params.n_agents, params.steps + 1)
     pop = init_population(params, next(shocks))
-    window_start = params.steps - max(1, params.steps // 10)
-    log_growth: list[np.ndarray] = []
+    window = max(1, params.steps // 10)
+    window_start = params.steps - window
+    rates = np.empty(window * params.n_agents)
+    log_growth = rates.reshape(window, params.n_agents)
     for k in range(params.steps):
         prev = pop.sizes
         pop = step_population(pop, params, next(shocks))
         if k >= window_start:
-            log_growth.append(np.log(pop.sizes / prev))
-    rates = np.concatenate(log_growth)
+            np.log(pop.sizes / prev, out=log_growth[k - window_start])
     effective_alpha = float(np.std(rates))
     report = compare_models(
         SampleSet(pop.sizes, source=f"hia(seed={seed}, noise_std={params.noise_std})")

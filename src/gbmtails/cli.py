@@ -7,10 +7,11 @@ versions and numpy's SIMD kernels the output bytes rest on, and a sha256
 digest per output file; ``fit`` manifests also record ``inputs``, the sha256
 of the sample read, and ``hia`` and ``sweep`` manifests ``clamped``, the agent
 updates raised to the floor (summed over a sweep's runs). ``gbmtails replay
-<manifest>`` checks that each recorded input is unchanged (exit 2 if not),
-re-executes the recorded run, hashes the regenerated outputs in memory, and
-checks both them and the on-disk files against the recorded digests,
-resolving relative paths against the directory the run was made in, which
+<manifest>`` re-executes the recorded run, checks that each recorded input
+is unchanged by the digest the run takes before reading it (exit 2 if not),
+hashes the regenerated outputs in memory, and checks both them and the
+on-disk files against the recorded digests, resolving relative paths
+against the directory the run was made in, which
 the manifest records as ``run_dir`` when its first output lies outside it;
 replay writes no file, needs no temp directory, and ignores ``clamped``. It
 warns on stderr for each library version or kernel set that differs from the
@@ -562,11 +563,13 @@ def _run_replay(args: argparse.Namespace) -> int:
     home = os.getcwd()
     os.chdir(run_dir)
     try:
+        result = _dispatch(command, params)
+        # the run hashed its inputs before reading them, as the recorded run did
+        hashed = {e["path"]: e["sha256"] for e in result.record.get("inputs", [])}
         for entry in inputs:
-            if sha256_file(entry["path"]) != entry["sha256"]:
+            if hashed.get(entry["path"]) != entry["sha256"]:
                 raise ValueError(f"input {entry['path']!r} has changed since the run: "
                                  "its sha256 is not the recorded one")
-        result = _dispatch(command, params)
         # Hash the regenerated bytes in memory: replay only checks, it writes nothing.
         produced = {art.path: sha256_written(art.write) for art in result.artifacts}
         recorded = {o["path"]: o["sha256"] for o in outputs}

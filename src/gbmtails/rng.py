@@ -122,31 +122,47 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit products ``m * x``."""
+def _mulhi(m: int, x: np.ndarray) -> np.ndarray:
+    """High 64-bit words of the 128-bit products ``m * x``: Hacker's Delight
+    ``mulhu`` on 32-bit halves, whose partial sums cannot overflow 64 bits."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo = x & _LO32
     x_hi = x >> _S32
-    lo_lo = x_lo * m_lo
-    hi_lo = x_hi * m_lo
-    lo_hi = x_lo * m_hi
-    mid = (lo_lo >> _S32) + (hi_lo & _LO32) + (lo_hi & _LO32)
-    hi = x_hi * m_hi + (hi_lo >> _S32) + (lo_hi >> _S32) + (mid >> _S32)
-    return x * np.uint64(m), hi
+    w = x_lo * m_lo
+    w >>= _S32  # carry out of the low product
+    t = x_hi * m_lo
+    t += w
+    np.bitwise_and(t, _LO32, out=w)
+    t >>= _S32
+    x_lo *= m_hi
+    w += x_lo  # the middle column: its carry goes to the high word
+    w >>= _S32
+    x_hi *= m_hi
+    x_hi += t
+    x_hi += w
+    return x_hi
 
 
-def _philox4x64(counter: int, k0: int, k1: np.ndarray) -> tuple:
-    """The four output words of block ``counter`` for keys ``(k0, k1[i])``."""
+def _philox4x64(counter: int, k0: int, k1: np.ndarray, words: int = 4) -> tuple:
+    """The first ``words`` output words of block ``counter`` for keys
+    ``(k0, k1[i])``; the last round computes only those words."""
     c0 = np.full(1, counter, dtype=np.uint64)
     c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0 = (k0 + _PHILOX_W0) & _UINT64_MASK
             k1 = k1 + np.uint64(_PHILOX_W1)
-        lo0, hi0 = _mulhilo(_PHILOX_M0, c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
+        need = words if r == _PHILOX_ROUNDS - 1 else 4
+        hi1 = _mulhi(_PHILOX_M1, c2)
+        hi1 ^= c1
+        hi1 ^= np.uint64(k0)
+        c1 = c2 * np.uint64(_PHILOX_M1) if need > 1 else None
+        if need > 2:
+            c2 = _mulhi(_PHILOX_M0, c0) ^ k1
+            c2 ^= c3
+        c3 = c0 * np.uint64(_PHILOX_M0) if need > 3 else None
+        c0 = hi1
+    return (c0, c1, c2, c3)[:words]
 
 
 class StreamUniformBlock:
@@ -176,8 +192,8 @@ class StreamUniformBlock:
         ids = np.arange(n, dtype=np.uint64) + np.uint64(start)
         # numpy's Philox bumps the counter before its first block
         for block, col in enumerate(range(0, self.width, 4), start=1):
-            words = _philox4x64(block, self.seed, ids)
-            for word, c in zip(words, range(col, min(col + 4, self.width))):
+            words = _philox4x64(block, self.seed, ids, min(4, self.width - col))
+            for c, word in enumerate(words, start=col):
                 # top 53 bits scaled to [0, 1), as Generator.random does
                 np.multiply(word >> np.uint64(11), 2.0 ** -53, out=out[:, c])
         return out

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.stats import kstest
 
+from gbmtails import agents
 from gbmtails.agents import (
     HiaParams,
     Population,
@@ -23,7 +24,7 @@ from gbmtails.agents import (
 from gbmtails.fitting import SampleSet, compare_models
 from gbmtails.rng import RngStream, normals_from_uniforms
 from gbmtails.sde import GbmParams, terminal_log_law
-from gbmtails.serialization import dumps
+from gbmtails.serialization import BLOCK_ROWS, dumps
 
 
 def per_child_shocks(rng: RngStream, n: int) -> np.ndarray:
@@ -64,7 +65,7 @@ def shocks(p: HiaParams, seed: int):
 
 
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
-@pytest.mark.parametrize("n", [5, 1])
+@pytest.mark.parametrize("n", [5, 1, 300])  # 300 x 64 values: two transforms a block
 def test_shocks_equal_per_child_draws(n, count):
     master, twin = RngStream(31, 4), RngStream(31, 4)
     got = list(_shocks(master, n, count))
@@ -75,6 +76,20 @@ def test_shocks_equal_per_child_draws(n, count):
     # nothing is read ahead: each child has advanced by exactly count draws
     after = np.array([master.substream(i).uniform() for i in range(n)])
     assert after.tobytes() == draws[:, count].tobytes()
+
+
+def test_shocks_transform_at_most_block_rows_values(monkeypatch):
+    """600 agents x 64 steps exceed BLOCK_ROWS; each transform stays within it."""
+    sizes = []
+
+    def recording(u):
+        sizes.append(np.size(u))
+        return normals_from_uniforms(u)
+
+    monkeypatch.setattr(agents, "normals_from_uniforms", recording)
+    got = list(_shocks(RngStream(8, 0), 600, 70))
+    assert len(got) == 70 and sum(sizes) == 600 * 70
+    assert 600 * 64 > BLOCK_ROWS and max(sizes) <= BLOCK_ROWS
 
 
 def params(**overrides) -> HiaParams:

@@ -823,6 +823,24 @@ class TestConfigAndReplay:
         run_cli(capsys, *gbm, "--seed", "4")
         assert run_cli(capsys, "replay", "f.json.manifest.json")[0] == 0
 
+    def test_replay_of_fit_hashes_its_input_once(self, capsys, tmp_path, monkeypatch):
+        from gbmtails import cli
+
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "simulate", "--mode", "killed", "--r", "0.05", "--alpha", "0.5",
+                "--nu", "0.01", "--n", "200", "--seed", "4", "--out", "k.csv")
+        assert run_cli(capsys, "fit", "k.csv", "--out", "f.json")[0] == 0
+        hashed = []
+
+        def counting(path):
+            hashed.append(str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(cli, "sha256_file", counting)
+        code, out, _ = run_cli(capsys, "replay", "f.json.manifest.json")
+        assert code == 0 and json.loads(out)["reproduced"] is True
+        assert hashed == ["k.csv", "f.json"]
+
     def test_manifest_of_a_relative_output_records_no_directory(self, capsys, tmp_path,
                                                                 monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -94,7 +94,7 @@ def _in_7_row_blocks(monkeypatch) -> None:
         if hasattr(module, "BLOCK_ROWS"):
             monkeypatch.setattr(module, "BLOCK_ROWS", 7)
             patched.add(info.name)
-    assert patched >= {"fitting", "rng", "serialization"}
+    assert patched >= {"agents", "fitting", "rng", "serialization"}
 
 
 # The same digests with every pass over a sample in 7-row blocks.
@@ -157,6 +157,16 @@ def test_hia_past_read_ahead(tmp_path, capsys):
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert _sha(out) == "9d9229a34c7f816532d1f222fb2ed5731984c157aa66fc48b338f5a48bdaf71c"
     assert stdout == "e46f72c82cdbb92a002be11d673490efd9cc698b3247e71bd9b35e8eead4a583"
+
+
+def test_hia_in_7_row_blocks(tmp_path, capsys, monkeypatch):
+    _in_7_row_blocks(monkeypatch)
+    test_hia(tmp_path, capsys)
+
+
+def test_hia_past_read_ahead_in_7_row_blocks(tmp_path, capsys, monkeypatch):
+    _in_7_row_blocks(monkeypatch)
+    test_hia_past_read_ahead(tmp_path, capsys)
 
 
 def test_figure1(capsys):
