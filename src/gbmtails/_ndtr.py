@@ -211,8 +211,9 @@ def ndtri(y):
     t = np.where(upper, 1.0 - y, y)
     out = _ndtri_mid(t)  # P0/Q0 everywhere is cheaper than selecting; tails overwrite
     tail = np.flatnonzero(t <= _EXP_M2)
-    x = _ndtri_tails(np.take(t, tail))
-    np.put(out, tail, np.where(np.take(upper, tail), x, -x))
+    if tail.size:
+        x = _ndtri_tails(np.take(t, tail))
+        np.put(out, tail, np.where(np.take(upper, tail), x, -x))
     return out
 
 

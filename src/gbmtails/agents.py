@@ -13,11 +13,11 @@ so the result does not depend on agent evaluation order. Agent i's k-th
 shock (the initial size is shock 0) is the inverse-CDF normal of draw k of
 substream i of the master stream, so exchanging two agents exchanges their
 whole shock histories and the update commutes with relabeling. ``_shocks``
-draws that schedule 64 steps at a time and makes the normals BLOCK_ROWS
-values at a time; ``init_population`` and ``step_population`` take their
-shocks as arguments. Sizes are clamped at a positive floor instead of
-killing agents, which keeps the population fixed and the fitted tail
-exponents comparable across a sweep.
+draws that schedule 64 steps at a time into one step-major block and makes
+its normals in place, BLOCK_ROWS values at a time; ``init_population`` and
+``step_population`` take their shocks as arguments. Sizes are clamped at a
+positive floor instead of killing agents, which keeps the population fixed
+and the fitted tail exponents comparable across a sweep.
 
 With both couplings at zero every agent is an independent discrete-time
 GBM and the size distribution stays lognormal; with positive couplings the
@@ -146,17 +146,15 @@ def step_population(pop: Population, params: HiaParams, z) -> Population:
 def _shocks(rng: RngStream, n: int, count: int):
     """Yield shocks 0..count-1 of agents 0..n-1; shock k of agent i is the
     normal of draw k of ``rng.substream(i)``, which advances by exactly count.
-    The elementwise transform runs on BLOCK_ROWS values at a time."""
+    Agent i's uniforms fill column i of one step-major block per 64 steps,
+    which becomes normals in place, BLOCK_ROWS values at a time."""
     for lo in range(0, count, _BLOCK):
-        width = min(_BLOCK, count - lo)
-        u = np.empty((n, width))
+        z = np.empty((min(_BLOCK, count - lo), n))
         for i in range(n):
-            u[i] = rng.substream(i).uniforms(width)
-        z = np.empty((width, n))
-        agents = max(1, BLOCK_ROWS // width)
-        for a in range(0, n, agents):
-            z[:, a:a + agents] = normals_from_uniforms(u[a:a + agents]).T
-        del u  # only the block of shocks stays while its rows are used
+            z[:, i] = rng.substream(i).uniforms(len(z))
+        flat = z.reshape(-1)  # a view: the block is C-contiguous
+        for a in range(0, flat.size, BLOCK_ROWS):
+            flat[a:a + BLOCK_ROWS] = normals_from_uniforms(flat[a:a + BLOCK_ROWS])
         yield from z
 
 
@@ -235,8 +233,8 @@ def run_sweep(
     than 100000 seeds, or a master seed that puts the last run seed past
     2**64 - 1, is rejected before any run: either would alias runs. The runs
     are independent and go to ``map(run_hia, params_list, seeds)``: serial by
-    default, while the ``sweep`` command passes its process map on 2 or more
-    usable CPUs. A map that returns results in order gives the same result.
+    default; the ``sweep`` command passes its process map, which runs them here
+    on one usable CPU. A map that returns results in order gives the same result.
     """
     if vary not in ("noise_std", "coupling_in", "coupling_out"):
         raise ValueError(f"cannot vary {vary!r}")

@@ -32,10 +32,10 @@ A command imports only the modules its ``COMMANDS`` entry names.
 
 ``simulate --mode killed --workers N`` (N > 1) samples and formats its rows in
 jobs of at most ``4 * BLOCK_ROWS`` rows on at most N processes, written in job
-order, and ``sweep`` splits into its ``points x seeds`` runs on 2 or more usable
-CPUs; both go to one ordered process map of at most as many processes as jobs
-or usable CPUs, with at most two results a process unread. Output bytes, stdout
-and manifests never depend on it.
+order, and ``sweep`` splits into its ``points x seeds`` runs; both go to one
+ordered process map of at most as many processes as jobs or usable CPUs, with
+at most two results a process unread, which runs the jobs in process when that
+allows fewer than two. Output bytes, stdout and manifests never depend on it.
 """
 
 from __future__ import annotations
@@ -225,13 +225,16 @@ def _usable_cpus() -> int:
 
 
 def _process_map(fn, *iterables, processes=None):
-    """``map(fn, *iterables)`` computed in a pool of at most ``processes``
-    processes, results in job order, with at most two jobs a process
-    submitted and not yet read, so the results held stay bounded."""
-    _load(("concurrent.futures.process",))  # only a pooled command pays for the pool
+    """``map(fn, *iterables)`` in a pool of at most ``processes`` processes, results in
+    job order, with at most two jobs a process submitted and not yet read, so the
+    results held stay bounded; under two processes the jobs run here, with no pool."""
     jobs = list(zip(*iterables))
     # fork starts every process at once, so no more than there are jobs or usable CPUs
     processes = min(len(jobs), _usable_cpus(), processes or len(jobs))
+    if processes < 2:
+        yield from (fn(*args) for args in jobs)
+        return
+    _load(("concurrent.futures.process",))  # only a pooled command pays for the pool
     with ProcessPoolExecutor(max_workers=processes) as pool:
         pending = collections.deque()
         for args in jobs:
@@ -280,9 +283,7 @@ def _exec_sweep(p: dict) -> CommandResult:
     if p["points"] < 2:
         raise ValueError("points must be >= 2")
     values = np.linspace(p["min"], p["max"], p["points"])
-    # points >= 2, so a sweep has at least two runs to share; one CPU runs them here
-    result = run_sweep(_hia_params(p), p["vary"], values, p["seeds"], p["seed"],
-                       map=_process_map if _usable_cpus() >= 2 else map)
+    result = run_sweep(_hia_params(p), p["vary"], values, p["seeds"], p["seed"], map=_process_map)
     text = sweep_csv_text(result)
     doc = {"varied": result.varied, "spearman_rho": result.spearman_rho}
     artifact = Artifact(p["out"], lambda fh: write_text(fh, text))

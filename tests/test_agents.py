@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -90,6 +91,23 @@ def test_shocks_transform_at_most_block_rows_values(monkeypatch):
     got = list(_shocks(RngStream(8, 0), 600, 70))
     assert len(got) == 70 and sum(sizes) == 600 * 70
     assert 600 * 64 > BLOCK_ROWS and max(sizes) <= BLOCK_ROWS
+
+
+def test_shocks_hold_one_block_a_window():
+    """A 64-step window of 20,000 agents holds its step-major block and no
+    second block of uniforms or transposed normals beside it."""
+    n, width = 20000, 64
+    master = RngStream(8, 0)
+    for i in range(n):  # the memoized children are not the window's to count
+        master.substream(i)
+    tracemalloc.start()
+    try:
+        for _ in _shocks(master, n, width):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * width * n * 8
 
 
 def params(**overrides) -> HiaParams:

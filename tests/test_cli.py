@@ -222,6 +222,21 @@ class TestSimulate:
         assert asked == [2, 2]
         assert sha256_file(s1) == sha256_file(s4)
 
+    def test_simulate_on_one_cpu_starts_no_pool(self, capsys, tmp_path, monkeypatch):
+        from gbmtails import cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("simulate --workers 2 on one usable CPU started a pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        args = ("simulate", "--mode", "killed", "--r", "0.05", "--alpha", "0.2",
+                "--nu", "0.01", "--n", "5000", "--seed", "3")
+        w1, w2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        assert run_cli(capsys, *args, "--workers", "1", "--out", str(w1))[0] == 0
+        assert run_cli(capsys, *args, "--workers", "2", "--out", str(w2))[0] == 0
+        assert sha256_file(w1) == sha256_file(w2)
+
     def test_usable_cpus_fall_back_to_the_cpu_count_without_affinity(self, monkeypatch):
         from gbmtails import cli
 
@@ -418,15 +433,21 @@ class TestHiaAndSweep:
         assert pooled == serial
         assert sweep_csv_text(pooled) == sweep_csv_text(serial)
 
-    @pytest.mark.parametrize("cap, most", [({}, 4), ({"processes": 1}, 2)], ids=["cpus", "one"])
-    def test_process_map_keeps_two_jobs_a_process_unread(self, monkeypatch, cap, most):
+    @pytest.mark.parametrize("cap, pools, most", [({}, 1, 4), ({"processes": 1}, 0, 0)],
+                             ids=["cpus", "one"])
+    def test_process_map_keeps_two_jobs_a_process_unread(self, monkeypatch, cap, pools, most):
         """Results come in job order, and a job is submitted only while fewer
-        than two per process are waiting to be read."""
+        than two per process are waiting to be read; one process builds no
+        pool and runs the jobs here."""
         from gbmtails import cli
 
-        count = {"submitted": 0, "read": 0, "most": 0}
+        count = {"pools": 0, "submitted": 0, "read": 0, "most": 0}
 
         class RecordingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                count["pools"] += 1
+                super().__init__(max_workers)
+
             def submit(self, fn, *args):
                 count["submitted"] += 1
                 count["most"] = max(count["most"], count["submitted"] - count["read"])
@@ -439,7 +460,8 @@ class TestHiaAndSweep:
             count["read"] += 1
             results.append(result)
         assert results == list(range(20, 0, -1))
-        assert count["submitted"] == 20 and count["most"] == most
+        assert count["pools"] == pools and count["most"] == most
+        assert count["submitted"] == 20 * pools
 
     def test_sweep_on_one_cpu_starts_no_pool(self, capsys, tmp_path, monkeypatch):
         from gbmtails import cli

@@ -31,8 +31,11 @@ _SAMPLERS = {"gbmtails.agents", "gbmtails.fitting", "gbmtails.killing", "gbmtail
 _POOL = "concurrent.futures.process"
 
 
-def modules_after(tmp_path, *argv) -> set:
-    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *argv], cwd=tmp_path,
+def modules_after(tmp_path, *argv, usable_cpus=None) -> set:
+    """``usable_cpus``, if given, is what ``cli._usable_cpus`` returns in the run."""
+    pin = ("" if usable_cpus is None else
+           f"import gbmtails.cli\ngbmtails.cli._usable_cpus = lambda: {usable_cpus}\n")
+    proc = subprocess.run([sys.executable, "-c", pin + _MODULES_AFTER, *argv], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -65,7 +68,8 @@ def test_simulate_imports_the_pool_only_when_it_shards(tmp_path):
     modules = modules_after(tmp_path, *simulate, "--workers", "1")
     assert "gbmtails.killing" in modules
     assert modules & {_POOL, "gbmtails.fitting", "gbmtails.dpareto", "gbmtails.agents"} == set()
-    assert _POOL in modules_after(tmp_path, *simulate, "--workers", "2")
+    # one usable CPU runs the jobs in process, so the pool needs two
+    assert _POOL in modules_after(tmp_path, *simulate, "--workers", "2", usable_cpus=2)
 
 
 def test_every_public_name_resolves_and_star_import_binds_it():
