@@ -139,7 +139,7 @@ _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
 
 
 def _polevl(x, coef):
-    """coef[0] x^N + ... + coef[N] by Horner's rule, elementwise on an array x."""
+    """coef[0] x^N + ... + coef[N] by Horner's rule, on a float or elementwise on an array x."""
     ans = coef[0] * x + coef[1]
     for c in coef[2:]:
         ans *= x
@@ -189,18 +189,30 @@ def _ndtri_tails(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ndtri_float(y: float) -> float:
+    """ndtri of one float: the array body's branches taken with ``if``, on the same helpers."""
+    if not 0.0 < y < 1.0:
+        return -math.inf if y == 0.0 else math.inf if y == 1.0 else math.nan
+    upper = y > 1.0 - _EXP_M2
+    t = 1.0 - y if upper else y
+    if t > _EXP_M2:
+        return _ndtri_mid(t)
+    x = math.sqrt(-2.0 * math.log(t))
+    x = _ndtri_tail(x, math.log, *((_P1, _Q1) if x < 8.0 else (_P2, _Q2)))
+    return x if upper else -x
+
+
 def ndtri(y):
     """Inverse of the standard normal CDF, bit-equal to ``scipy.special.ndtri``.
 
-    A scalar (a Python or numpy float, or a 0-d array) goes through the
-    array body as one element and gives a Python float; an array gives a
-    float64 array of its shape.
+    A scalar (a Python or numpy float, or a 0-d array) gives a Python float
+    from ``_ndtri_float``; an array gives a float64 array of its shape.
     ``ndtri(0) = -inf``, ``ndtri(1) = inf``; outside [0, 1] the result is nan
     (a nan's sign bit may differ from scipy's).
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 0:
-        return float(ndtri(np.reshape(y, 1))[0])
+        return _ndtri_float(float(y))
     inside = (y > 0.0) & (y < 1.0)
     if not inside.all():
         out = np.where(y == 0.0, -np.inf, np.where(y == 1.0, np.inf, np.nan))

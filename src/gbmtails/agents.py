@@ -13,8 +13,8 @@ so the result does not depend on agent evaluation order. Agent i's k-th
 shock (the initial size is shock 0) is the inverse-CDF normal of draw k of
 substream i of the master stream, so exchanging two agents exchanges their
 whole shock histories and the update commutes with relabeling. ``_shocks``
-draws that schedule 64 steps at a time into one step-major block and makes
-its normals in place, BLOCK_ROWS values at a time; ``init_population`` and
+draws that schedule from the substreams ``run_hia`` makes once, 64 steps at
+a time into one step-major block; ``init_population`` and
 ``step_population`` take their shocks as arguments. Sizes are clamped at a
 positive floor instead of killing agents, which keeps the population fixed
 and the fitted tail exponents comparable across a sweep.
@@ -143,15 +143,15 @@ def step_population(pop: Population, params: HiaParams, z) -> Population:
     return Population(sizes=new_sizes, step=pop.step + 1, clamped=pop.clamped + clamped)
 
 
-def _shocks(rng: RngStream, n: int, count: int):
-    """Yield shocks 0..count-1 of agents 0..n-1; shock k of agent i is the
-    normal of draw k of ``rng.substream(i)``, which advances by exactly count.
+def _shocks(streams: list[RngStream], count: int):
+    """Yield shocks 0..count-1 of the agents; shock k of agent i is the normal of
+    ``streams[i]``'s k-th draw from here, and each stream advances by exactly count.
     Agent i's uniforms fill column i of one step-major block per 64 steps,
     which becomes normals in place, BLOCK_ROWS values at a time."""
     for lo in range(0, count, _BLOCK):
-        z = np.empty((min(_BLOCK, count - lo), n))
-        for i in range(n):
-            z[:, i] = rng.substream(i).uniforms(len(z))
+        z = np.empty((min(_BLOCK, count - lo), len(streams)))
+        for i, stream in enumerate(streams):
+            z[:, i] = stream.uniforms(len(z))
         flat = z.reshape(-1)  # a view: the block is C-contiguous
         for a in range(0, flat.size, BLOCK_ROWS):
             flat[a:a + BLOCK_ROWS] = normals_from_uniforms(flat[a:a + BLOCK_ROWS])
@@ -168,7 +168,8 @@ def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]
     """
     if params.n_agents < 10:
         raise ValueError("run_hia needs n_agents >= 10 for the model comparison")
-    shocks = _shocks(RngStream(seed, 0), params.n_agents, params.steps + 1)
+    master = RngStream(seed, 0)
+    shocks = _shocks([master.substream(i) for i in range(params.n_agents)], params.steps + 1)
     pop = init_population(params, next(shocks))
     window = max(1, params.steps // 10)
     window_start = params.steps - window

@@ -2,13 +2,16 @@
 
 Every stochastic routine in this package draws from an :class:`RngStream`,
 a thin stateful wrapper over a counter-based bit generator keyed by
-``(seed, stream_id)``. Identical keys replay identical draw sequences;
-distinct ``stream_id`` values give statistically independent streams, which
-is how batch samplers and agent simulations get scheduling-independent
-parallelism: partition work by stream, never by sharing a stream. Batch
-samplers fill their rows through :meth:`StreamUniformBlock.rows`, which
-takes the leading uniforms of ``BLOCK_ROWS`` streams at a time; the block
-evaluates Philox itself and so depends on no private bit-generator state.
+``(seed, stream_id)``, or ``(seed, stream_id, child)`` for ``substream``;
+each part is an integer in ``[0, 2**64)``, not a bool, so no two keys alias.
+A stream is a pure function of its key, made new at its first draw, so
+identical keys replay identical draw sequences; distinct keys give
+statistically independent streams, which is how batch samplers and agent
+simulations get scheduling-independent parallelism: partition work by
+stream, never by sharing a stream. Batch samplers fill their rows through
+:meth:`StreamUniformBlock.rows`, which takes the leading uniforms of
+``BLOCK_ROWS`` streams at a time; the block evaluates Philox itself and so
+depends on no private bit-generator state.
 
 Normal variates are produced by applying the inverse normal CDF to the
 uniform stream. The monotone coupling this induces (larger uniform, larger
@@ -34,13 +37,13 @@ _UINT64_MASK = (1 << 64) - 1
 _U_FLOOR = 2.0 ** -53
 
 
-def _check_seed(seed) -> int:
-    """The seed as an int; only ``[0, 2**64)`` is accepted, so no two seeds alias."""
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError("seed must be an integer")
-    if not (0 <= seed <= _UINT64_MASK):
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return int(seed)
+def _check_key(name: str, value) -> int:
+    """A seed, stream id or child index as an int in ``[0, 2**64)``; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if not 0 <= value <= _UINT64_MASK:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return int(value)
 
 
 class RngStream:
@@ -51,17 +54,10 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = _check_seed(seed)
-        if not isinstance(stream_id, (int, np.integer)):
-            raise TypeError("stream_id must be an integer")
-        if stream_id < 0 or stream_id >= (1 << 64):
-            raise ValueError("stream_id must be a non-negative 64-bit integer")
-        self.stream_id = int(stream_id)
-        self._start(np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64)))
-
-    def _start(self, bit_generator) -> None:
-        self._gen = np.random.Generator(bit_generator)
-        self._children: dict[int, "RngStream"] = {}
+        self.seed = _check_key("seed", seed)
+        self.stream_id = _check_key("stream_id", stream_id)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -89,26 +85,17 @@ class RngStream:
     # -- derived streams --------------------------------------------------
 
     def substream(self, child: int) -> "RngStream":
-        """Derived stream for ``(seed, stream_id, child)``.
+        """A new stream for ``(seed, stream_id, child)``, at its first draw.
 
-        Memoized: repeated calls with the same ``child`` return the same
-        stateful object, so a caller can keep drawing from a child across
-        invocations. Child keys are hashed through a seed sequence, which
-        keeps them statistically disjoint from the top-level key space.
+        Two calls with the same ``child`` replay the same draws; a caller
+        that keeps drawing from a child holds it. Child keys are hashed
+        through a seed sequence, statistically disjoint from top-level keys.
         """
-        got = self._children.get(child)
-        if got is not None:
-            return got
-        if child < 0:
-            raise ValueError("child index must be non-negative")
-        ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, child)
-        )
+        spawn_key = (self.stream_id, _check_key("child", child))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=spawn_key)
         sub = RngStream.__new__(RngStream)
-        sub.seed = self.seed
-        sub.stream_id = self.stream_id
-        sub._start(np.random.Philox(seed=ss))
-        self._children[child] = sub
+        sub.seed, sub.stream_id = self.seed, self.stream_id
+        sub._gen = np.random.Generator(np.random.Philox(seed=ss))
         return sub
 
 
@@ -178,7 +165,7 @@ class StreamUniformBlock:
     """
 
     def __init__(self, seed: int, width: int):
-        self.seed = _check_seed(seed)
+        self.seed = _check_key("seed", seed)
         self.width = int(width)
 
     def take(self, start: int, n: int) -> np.ndarray:

@@ -28,18 +28,24 @@ from gbmtails.sde import GbmParams, terminal_log_law
 from gbmtails.serialization import BLOCK_ROWS, dumps
 
 
-def per_child_shocks(rng: RngStream, n: int) -> np.ndarray:
-    """The next shock of agents 0..n-1: one ``substream(i).uniform()`` each."""
-    return normals_from_uniforms(np.array([rng.substream(i).uniform() for i in range(n)]))
+def children(seed: int, n: int) -> list[RngStream]:
+    """Substreams 0..n-1 of the master stream ``(seed, 0)``, each built once."""
+    master = RngStream(seed, 0)
+    return [master.substream(i) for i in range(n)]
+
+
+def per_child_shocks(streams: list[RngStream]) -> np.ndarray:
+    """The next shock of each agent: one ``uniform()`` of its child stream each."""
+    return normals_from_uniforms(np.array([child.uniform() for child in streams]))
 
 
 def reference_run_hia(p: HiaParams, seed: int):
     """run_hia written out with one ``substream(i).uniform()`` per agent per
     step; returns (sizes, effective_alpha, report, floor clamp count)."""
-    rng = RngStream(seed, 0)
+    streams = children(seed, p.n_agents)
 
     def normals():
-        return per_child_shocks(rng, p.n_agents)
+        return per_child_shocks(streams)
 
     def clamp(x):
         return np.maximum(x, p.floor), int(np.sum(x < p.floor))
@@ -62,20 +68,21 @@ def reference_run_hia(p: HiaParams, seed: int):
 
 def shocks(p: HiaParams, seed: int):
     """run_hia's shock generator: init shock, then one per step."""
-    return _shocks(RngStream(seed, 0), p.n_agents, p.steps + 1)
+    return _shocks(children(seed, p.n_agents), p.steps + 1)
 
 
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("n", [5, 1, 300])  # 300 x 64 values: two transforms a block
 def test_shocks_equal_per_child_draws(n, count):
     master, twin = RngStream(31, 4), RngStream(31, 4)
-    got = list(_shocks(master, n, count))
+    streams = [master.substream(i) for i in range(n)]
+    got = list(_shocks(streams, count))
     assert len(got) == count and all(z.shape == (n,) for z in got)
     draws = np.array([twin.substream(i).uniforms(count + 1) for i in range(n)])
     expected = normals_from_uniforms(draws[:, :count]).T
     assert np.array(got).tobytes() == np.ascontiguousarray(expected).tobytes()
-    # nothing is read ahead: each child has advanced by exactly count draws
-    after = np.array([master.substream(i).uniform() for i in range(n)])
+    # nothing is read ahead: each stream passed in has advanced by exactly count draws
+    after = np.array([stream.uniform() for stream in streams])
     assert after.tobytes() == draws[:, count].tobytes()
 
 
@@ -88,7 +95,7 @@ def test_shocks_transform_at_most_block_rows_values(monkeypatch):
         return normals_from_uniforms(u)
 
     monkeypatch.setattr(agents, "normals_from_uniforms", recording)
-    got = list(_shocks(RngStream(8, 0), 600, 70))
+    got = list(_shocks(children(8, 600), 70))
     assert len(got) == 70 and sum(sizes) == 600 * 70
     assert 600 * 64 > BLOCK_ROWS and max(sizes) <= BLOCK_ROWS
 
@@ -97,12 +104,10 @@ def test_shocks_hold_one_block_a_window():
     """A 64-step window of 20,000 agents holds its step-major block and no
     second block of uniforms or transposed normals beside it."""
     n, width = 20000, 64
-    master = RngStream(8, 0)
-    for i in range(n):  # the memoized children are not the window's to count
-        master.substream(i)
+    streams = children(8, n)  # built before tracing: not the window's to count
     tracemalloc.start()
     try:
-        for _ in _shocks(master, n, width):
+        for _ in _shocks(streams, width):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -185,10 +190,10 @@ class TestClampCount:
 
     def test_count_matches_hand_stepped_loop(self):
         p = params(n_agents=200, noise_std=5.0, floor=0.5, steps=12)
-        rng = RngStream(6, 0)
-        pop = init_population(p, per_child_shocks(rng, p.n_agents))
+        streams = children(6, p.n_agents)
+        pop = init_population(p, per_child_shocks(streams))
         for _ in range(p.steps):
-            pop = step_population(pop, p, per_child_shocks(rng, p.n_agents))
+            pop = step_population(pop, p, per_child_shocks(streams))
         *_, expected = reference_run_hia(p, seed=6)
         assert pop.clamped > 0
         assert pop.clamped == expected
@@ -251,9 +256,9 @@ class TestRunHia:
     def test_single_step_is_init_plus_step(self):
         p = params(n_agents=50, steps=1)
         pop, _, _ = run_hia(p, seed=21)
-        rng = RngStream(21, 0)
-        pop0 = init_population(p, per_child_shocks(rng, p.n_agents))
-        manual = step_population(pop0, p, per_child_shocks(rng, p.n_agents))
+        streams = children(21, p.n_agents)
+        pop0 = init_population(p, per_child_shocks(streams))
+        manual = step_population(pop0, p, per_child_shocks(streams))
         assert pop.sizes.tobytes() == manual.sizes.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])

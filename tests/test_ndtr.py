@@ -81,9 +81,9 @@ def test_numpy_log_in_either_tail_log_would_fail(log_sensitive, swapped):
 
 def test_ndtri_of_scalars_and_2d_blocks(uniforms, log_sensitive):
     assert ndtri(0.5) == 0.0 and type(ndtri(0.5)) is float
-    # a scalar runs the array body as a one-element array; check it in each
-    # branch: both tails, P2/Q2, the centre, and the inputs that tell the C
-    # library's log from numpy's
+    # a scalar takes _ndtri_float's branches; check it in each branch: both
+    # tails, P2/Q2, the centre, and the inputs that tell the C library's log
+    # from numpy's
     picks = np.concatenate([uniforms[:2_000], K[:100] * U_FLOOR, 1.0 - K[:100] * U_FLOOR,
                             *log_sensitive.values()])
     for v in picks.tolist():
@@ -93,6 +93,28 @@ def test_ndtri_of_scalars_and_2d_blocks(uniforms, log_sensitive):
             assert type(got) is float and np.float64(got).tobytes() == want.tobytes(), v
     block = uniforms[:64 * 50].reshape(50, 64)
     assert_bits_equal(block, ndtri(block), special.ndtri(block))
+
+
+def test_scalar_path_equals_the_array_kernel(uniforms):
+    """``_ndtri_float`` repeats the array body's branch choice with ``if``; on
+    every branch, edge and neighbour the two give the same bits."""
+    edges = [0.0, 1.0, U_FLOOR, 2.0**-1074, np.nextafter(1.0, 0.0), math.exp(-32.0),
+             -0.1, 1.1, math.nan]
+    for e in (_EXP_M2, 1.0 - _EXP_M2):
+        edges += [np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)]
+    y = np.concatenate([uniforms[:100_000], np.exp(-np.linspace(0.0, 700.0, 50_001)),
+                        1.0 - np.exp(-np.linspace(0.0, 36.0, 50_001)), edges])
+    scalar = np.array([ndtri(v) for v in y.tolist()])
+    assert_bits_equal(y, scalar, ndtri(y))
+
+
+def test_scalars_do_not_run_the_array_tails(monkeypatch):
+    def array_tails(y):
+        raise AssertionError("a scalar ran the array tails")
+
+    monkeypatch.setattr(_ndtr, "_ndtri_tails", array_tails)
+    for v in (0.3, 0.01):
+        assert np.float64(ndtri(v)).tobytes() == special.ndtri(v).tobytes()
 
 
 def test_ndtri_outside_the_open_interval():

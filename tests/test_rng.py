@@ -51,11 +51,12 @@ def test_normals_pass_ks():
     assert kstest(z, "norm").pvalue > 0.01
 
 
-def test_substream_is_memoized_and_deterministic():
+def test_substream_replays_its_key():
     master = RngStream(5, 2)
     child = master.substream(17)
-    assert master.substream(17) is child
     first = child.normal()
+    # a second call is a new stream at its first draw, not the first one carried on
+    assert master.substream(17).normal() == first
     # a fresh master replays the same child sequence
     again = RngStream(5, 2).substream(17).normal()
     assert first == again
@@ -78,6 +79,21 @@ def test_validation():
         RngStream(1.5, 0)
     with pytest.raises(ValueError):
         RngStream(0, 0).substream(-1)
+
+
+def test_every_key_part_is_an_integer_in_64_bits():
+    master = RngStream(0, 0)
+    for make in (lambda: RngStream(True, 0), lambda: RngStream(0, True),
+                 lambda: StreamUniformBlock(True, 1), lambda: master.substream(True),
+                 lambda: master.substream(1.0), lambda: master.substream("3")):
+        with pytest.raises(TypeError):
+            make()
+    for child in (-1, 2**64):
+        with pytest.raises(ValueError):
+            master.substream(child)
+    a, b = master.substream(17), master.substream(17)
+    assert a is not b and a.uniforms(9).tobytes() == b.uniforms(9).tobytes()
+    assert master.substream(np.uint64(2**64 - 1)).uniform() == master.substream(2**64 - 1).uniform()
 
 
 def test_uniform_block_matches_per_stream_construction():
