@@ -12,12 +12,14 @@ Updates are synchronous: the mean is taken from the pre-update snapshot,
 so the result does not depend on agent evaluation order. Agent i's k-th
 shock (the initial size is shock 0) is the inverse-CDF normal of draw k of
 substream i of the master stream, so exchanging two agents exchanges their
-whole shock histories and the update commutes with relabeling. ``_shocks``
-draws that schedule from the substreams ``run_hia`` makes once, 64 steps at
-a time into one step-major block; ``init_population`` and
-``step_population`` take their shocks as arguments. Sizes are clamped at a
-positive floor instead of killing agents, which keeps the population fixed
-and the fitted tail exponents comparable across a sweep.
+whole shock histories and the update commutes with relabeling. ``run_hia``
+builds no stream object per agent: it derives every agent's Philox key in
+one pass, and ``_shocks`` draws the schedule 64 steps at a time into one
+step-major block, with one broadcast Philox pass per chunk of counters and
+agents; ``init_population`` and ``step_population`` take their shocks as
+arguments. Sizes are clamped at a positive floor instead of killing agents,
+which keeps the population fixed and the fitted tail exponents comparable
+across a sweep.
 
 With both couplings at zero every agent is an independent discrete-time
 GBM and the size distribution stays lognormal; with positive couplings the
@@ -41,10 +43,11 @@ from .fitting import (
     SampleSet,
     compare_models,
 )
-from .rng import RngStream, normals_from_uniforms
+from .rng import _child_keys, _philox4x64, _to_unit, normals_from_uniforms
 from .serialization import BLOCK_ROWS
 
-# Steps of shocks drawn from each agent substream at a time.
+# Steps of shocks in one window; a multiple of 4, so a window from draw 0 on
+# starts on a Philox block.
 _BLOCK = 64
 
 
@@ -143,16 +146,32 @@ def step_population(pop: Population, params: HiaParams, z) -> Population:
     return Population(sizes=new_sizes, step=pop.step + 1, clamped=pop.clamped + clamped)
 
 
-def _shocks(streams: list[RngStream], count: int):
-    """Yield shocks 0..count-1 of the agents; shock k of agent i is the normal of
-    ``streams[i]``'s k-th draw from here, and each stream advances by exactly count.
-    Agent i's uniforms fill column i of one step-major block per 64 steps,
-    which becomes normals in place, BLOCK_ROWS values at a time."""
-    for lo in range(0, count, _BLOCK):
-        z = np.empty((min(_BLOCK, count - lo), len(streams)))
-        for i, stream in enumerate(streams):
-            z[:, i] = stream.uniforms(len(z))
-        flat = z.reshape(-1)  # a view: the block is C-contiguous
+def _shocks(keys: tuple, count: int, start: int = 0):
+    """Yield shocks start..start+count-1 of the agents whose Philox keys are ``keys``.
+
+    Shock k of agent i is the normal of draw k of the stream keyed
+    ``(keys[0][i], keys[1][i])``: word ``k % 4`` of its Philox block ``k // 4 + 1``.
+    Each window of 64 steps is one step-major block of whole Philox blocks, filled
+    BLOCK_ROWS counters x agents at a time; its rows for the window's draws become
+    normals in place, BLOCK_ROWS values at a time, and are yielded.
+    """
+    k0, k1 = keys
+    n = len(k0)
+    agents = max(1, min(n, BLOCK_ROWS))
+    counters = max(1, BLOCK_ROWS // agents)
+    for lo in range(start, start + count, _BLOCK):
+        hi = min(lo + _BLOCK, start + count)
+        first, last = lo // 4, -(-hi // 4)  # the Philox blocks, less numpy's leading bump
+        block = np.empty((last - first, 4, n))
+        for b in range(first, last, counters):
+            ctr = np.arange(b + 1, min(b + counters, last) + 1, dtype=np.uint64)[:, None]
+            rows = block[b - first:b - first + counters]
+            for a in range(0, n, agents):
+                words = _philox4x64(ctr, k0[a:a + agents], k1[a:a + agents])
+                for j, word in enumerate(words):
+                    _to_unit(word, rows[:, j, a:a + agents])
+        z = block.reshape(-1, n)[lo - 4 * first:hi - 4 * first]
+        flat = z.reshape(-1)  # a view: the rows are C-contiguous
         for a in range(0, flat.size, BLOCK_ROWS):
             flat[a:a + BLOCK_ROWS] = normals_from_uniforms(flat[a:a + BLOCK_ROWS])
         yield from z
@@ -168,8 +187,7 @@ def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]
     """
     if params.n_agents < 10:
         raise ValueError("run_hia needs n_agents >= 10 for the model comparison")
-    master = RngStream(seed, 0)
-    shocks = _shocks([master.substream(i) for i in range(params.n_agents)], params.steps + 1)
+    shocks = _shocks(_child_keys(seed, 0, params.n_agents), params.steps + 1)
     pop = init_population(params, next(shocks))
     window = max(1, params.steps // 10)
     window_start = params.steps - window

@@ -23,7 +23,7 @@ from gbmtails.agents import (
     sweep_csv_text,
 )
 from gbmtails.fitting import SampleSet, compare_models
-from gbmtails.rng import RngStream, normals_from_uniforms
+from gbmtails.rng import RngStream, _child_keys, normals_from_uniforms
 from gbmtails.sde import GbmParams, terminal_log_law
 from gbmtails.serialization import BLOCK_ROWS, dumps
 
@@ -68,22 +68,30 @@ def reference_run_hia(p: HiaParams, seed: int):
 
 def shocks(p: HiaParams, seed: int):
     """run_hia's shock generator: init shock, then one per step."""
-    return _shocks(children(seed, p.n_agents), p.steps + 1)
+    return _shocks(_child_keys(seed, 0, p.n_agents), p.steps + 1)
 
 
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("n", [5, 1, 300])  # 300 x 64 values: two transforms a block
 def test_shocks_equal_per_child_draws(n, count):
-    master, twin = RngStream(31, 4), RngStream(31, 4)
-    streams = [master.substream(i) for i in range(n)]
-    got = list(_shocks(streams, count))
+    keys = _child_keys(31, 4, n)
+    got = list(_shocks(keys, count))
     assert len(got) == count and all(z.shape == (n,) for z in got)
-    draws = np.array([twin.substream(i).uniforms(count + 1) for i in range(n)])
+    draws = np.array([RngStream(31, 4).substream(i).uniforms(2 * count) for i in range(n)])
     expected = normals_from_uniforms(draws[:, :count]).T
     assert np.array(got).tobytes() == np.ascontiguousarray(expected).tobytes()
-    # nothing is read ahead: each stream passed in has advanced by exactly count draws
-    after = np.array([stream.uniform() for stream in streams])
-    assert after.tobytes() == draws[:, count].tobytes()
+    # nothing is skipped or read twice: continuing from count gives draws count onward
+    after = np.array(list(_shocks(keys, count, start=count)))
+    expected = normals_from_uniforms(draws[:, count:]).T
+    assert after.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_shocks_in_7_row_blocks_equal_one_pass(monkeypatch):
+    """Chunks of 7 counters x agents, agents split mid-block, give the same shocks."""
+    keys = _child_keys(8, 0, 30)
+    whole = np.array(list(_shocks(keys, 70, start=3)))
+    monkeypatch.setattr(agents, "BLOCK_ROWS", 7)
+    assert np.array(list(_shocks(keys, 70, start=3))).tobytes() == whole.tobytes()
 
 
 def test_shocks_transform_at_most_block_rows_values(monkeypatch):
@@ -95,7 +103,7 @@ def test_shocks_transform_at_most_block_rows_values(monkeypatch):
         return normals_from_uniforms(u)
 
     monkeypatch.setattr(agents, "normals_from_uniforms", recording)
-    got = list(_shocks(children(8, 600), 70))
+    got = list(_shocks(_child_keys(8, 0, 600), 70))
     assert len(got) == 70 and sum(sizes) == 600 * 70
     assert 600 * 64 > BLOCK_ROWS and max(sizes) <= BLOCK_ROWS
 
@@ -104,10 +112,10 @@ def test_shocks_hold_one_block_a_window():
     """A 64-step window of 20,000 agents holds its step-major block and no
     second block of uniforms or transposed normals beside it."""
     n, width = 20000, 64
-    streams = children(8, n)  # built before tracing: not the window's to count
+    keys = _child_keys(8, 0, n)  # built before tracing: not the window's to count
     tracemalloc.start()
     try:
-        for _ in _shocks(streams, width):
+        for _ in _shocks(keys, width):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -272,6 +280,15 @@ class TestRunHia:
         assert pop.sizes.tobytes() == sizes.tobytes()
         assert np.float64(effective_alpha).tobytes() == np.float64(ref_alpha).tobytes()
         assert dumps(report.to_json_dict()) == dumps(ref_report.to_json_dict())
+
+    def test_builds_no_stream_object(self, monkeypatch):
+        """The agents' draws come from keys derived in bulk, not one stream per agent."""
+        def refuse(*args):
+            raise AssertionError("run_hia built a stream object")
+
+        for name in ("__init__", "substream"):
+            monkeypatch.setattr(RngStream, name, refuse)
+        run_hia(params(n_agents=40, steps=70), seed=19)
 
     def test_fit_report_bytes_are_reproducible(self):
         p = params(n_agents=300, steps=60)

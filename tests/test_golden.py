@@ -6,7 +6,8 @@ vectorised RNG block, chunked CSV writers and loadtxt fit reader replaced
 and scipy's ``spearmanr``, before the shared loadtxt sample reader and the
 numpy Spearman; the ``*_past_read_ahead`` digests by one
 ``substream(i).uniform()`` call per agent per step, before the 64-step
-blocks; the 100k-point ``figure1`` digest, the benchmark's pin, by the
+blocks and before the agents' keys were derived in bulk and drawn in one
+broadcast Philox pass; the 100k-point ``figure1`` digest, the benchmark's pin, by the
 per-point exponent solver, before the shared array body; the ``solve``
 digests by the report built field by field, before ``asdict``; the
 degenerate ``fit`` digests by the lognormal fit's point-mass sentinel, before

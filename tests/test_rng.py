@@ -3,7 +3,13 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
-from gbmtails.rng import RngStream, StreamUniformBlock, normals_from_uniforms
+from gbmtails.rng import (
+    RngStream,
+    StreamUniformBlock,
+    _child_keys,
+    _philox4x64,
+    normals_from_uniforms,
+)
 from gbmtails.serialization import BLOCK_ROWS
 
 
@@ -158,3 +164,65 @@ def test_uniform_block_stream_ids_stay_in_64_bits():
         block.take(2**64 - 1, 2)
     with pytest.raises(ValueError):
         block.take(-1, 1)
+
+
+def test_counts_and_start_are_rejected_not_coerced():
+    stream, block = RngStream(0), StreamUniformBlock(0, 2)
+    for bad in (2.9, True, 2.0, "2"):
+        for call in (lambda: StreamUniformBlock(0, bad), lambda: block.take(bad, 2),
+                     lambda: block.take(1, bad), lambda: stream.uniforms(bad),
+                     lambda: stream.normals(bad)):
+            with pytest.raises(TypeError):
+                call()
+    for call in (lambda: StreamUniformBlock(0, -1), lambda: block.take(0, -1),
+                 lambda: stream.uniforms(-1), lambda: stream.normals(-1)):
+        with pytest.raises(ValueError):
+            call()
+    assert block.take(np.uint64(3), np.int64(2)).tobytes() == block.take(3, 2).tobytes()
+    assert stream.uniforms(np.int32(0)).shape == (0,)
+
+
+def test_repr_names_the_child_and_rebuilds_it():
+    parent = RngStream(5, 2)
+    child = parent.substream(3)
+    assert repr(parent) == "RngStream(seed=5, stream_id=2)"
+    assert repr(child) == "RngStream(seed=5, stream_id=2).substream(3)"
+    assert eval(repr(child)).uniform() == child.uniform()
+    assert eval(repr(parent)).uniform() == parent.uniform()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1])
+@pytest.mark.parametrize("stream_id", [0, 2**33, 2**64 - 1])
+def test_child_keys_equal_seed_sequence_keys(seed, stream_id):
+    for first, n in ((0, 300), (2**32 - 40, 40)):
+        k0, k1 = _child_keys(seed, stream_id, n, first)
+        assert k0.dtype == k1.dtype == np.uint64 and k0.shape == k1.shape == (n,)
+        for i in range(n):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id, first + i))
+            assert [k0[i], k1[i]] == list(ss.generate_state(2, np.uint64))
+
+
+def test_child_keys_need_children_below_2_to_the_32():
+    # each check fails before any key array exists
+    for first, n in ((0, 2**32 + 1), (2**32 - 1, 2), (2**32, 1)):
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            _child_keys(0, 0, n, first)
+    assert _child_keys(0, 0, 1, 2**32 - 1)[0].shape == (1,)
+    with pytest.raises(TypeError):
+        _child_keys(0, 0, 2.0)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 4])
+def test_broadcast_philox_equals_numpy_philox(words):
+    """A column of counters against rows of keys, and a scalar k0 against an
+    array k1, give the words of numpy's Philox blocks past its first."""
+    k0, k1 = _child_keys(2**40 + 3, 2**33, 25)
+    k0[0] = k1[1] = 2**64 - 1  # a key schedule that wraps at once
+    counters = np.arange(3, 12, dtype=np.uint64)[:, None]
+    got = np.stack(_philox4x64(counters, k0, k1, words), axis=-1)  # (block, key, word)
+    scalar_k0 = np.stack(_philox4x64(7, 2**64 - 1, k1, words), axis=-1)
+    for i in range(25):
+        raw = np.random.Philox(key=[k0[i], k1[i]]).random_raw(4 * 11).reshape(11, 4)
+        assert got[:, i].tobytes() == raw[2:, :words].tobytes()  # numpy's block c is row c - 1
+        raw = np.random.Philox(key=[2**64 - 1, k1[i]]).random_raw(4 * 7).reshape(7, 4)
+        assert scalar_k0[i].tobytes() == raw[6, :words].tobytes()
