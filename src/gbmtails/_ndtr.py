@@ -5,9 +5,12 @@ Functions*, 1989), the code behind ``scipy.special.ndtr`` and ``ndtri``,
 keeping its coefficients, branch thresholds and operation order, so the
 results are bit-equal to scipy's. numpy's add, multiply, divide and sqrt
 round exactly as C does, but its SIMD ``log`` and ``exp`` differ from the C
-library's on a few inputs in 10^4, so every ``log`` and ``exp`` goes
-through Python's ``math``, which calls the C library, one element at a
-time.
+library's on a few inputs in 10^4, so every ``log`` and ``exp`` is the C
+library's: ``math.log`` for a scalar, and for an array the real part of
+numpy's complex ``log`` or ``exp`` (``_array_log``, ``_array_exp``), which
+loops in C over the C library's ``clog`` or ``cexp``. On a real argument
+those equal ``log`` and ``exp`` on the domains the port uses, and the
+helpers refuse any other input rather than change a bit.
 """
 
 from __future__ import annotations
@@ -136,6 +139,7 @@ _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _S2PI = 2.50662827463100050242  # sqrt(2 pi)
 _SQRT1_2 = 0.70710678118654752440
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_DBL_MIN = 2.2250738585072014e-308  # smallest normal float64
 
 
 def _polevl(x, coef):
@@ -156,13 +160,33 @@ def _p1evl(x, coef):
     return ans
 
 
-def _libm(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` (``math.log`` or ``math.exp``) applied to each element of a 1-d array."""
-    return np.fromiter(map(fn, a.tolist()), float, a.size)
-
-
 def _array_log(a: np.ndarray) -> np.ndarray:
-    return _libm(math.log, a)
+    """The C library's ``log`` of each element of a 1-d array, for elements >= 2
+    or in [DBL_MIN, 0.5); ``ValueError`` on any other.
+
+    numpy's complex ``log`` calls ``clog``. On ``x + 0i`` glibc's ``clog`` is
+    ``log(hypot(x, 0)) = log(x)``, but it takes ``log1p`` on [0.5, 2) and
+    rescales a subnormal ``x`` first, which changes bits; musl's is
+    ``log(cabs(z))``. A negative ``x`` would give ``log|x|``, not nan.
+    """
+    if not ((a >= 2.0) | ((a >= _DBL_MIN) & (a < 0.5))).all():
+        raise ValueError("_array_log takes elements >= 2 or in [DBL_MIN, 0.5), where clog is log")
+    z = a.astype(np.complex128)
+    return np.log(z, out=z).real
+
+
+def _array_exp(a: np.ndarray) -> np.ndarray:
+    """The C library's ``exp`` of each element of a 1-d array, for elements <= 708;
+    ``ValueError`` on any larger.
+
+    numpy's complex ``exp`` calls ``cexp``, which glibc computes on ``x + 0i``
+    as ``exp(x) * cos(0) = exp(x)`` unless ``x`` exceeds 709, where it
+    rescales to avoid overflow.
+    """
+    if (a > 708.0).any():
+        raise ValueError("_array_exp takes elements <= 708, where cexp is exp")
+    z = a.astype(np.complex128)
+    return np.exp(z, out=z).real
 
 
 def _ndtri_mid(y):
@@ -173,14 +197,15 @@ def _ndtri_mid(y):
 
 
 def _ndtri_tail(x, log, p, q):
-    """-ndtri(y) for y <= exp(-2), from x = sqrt(-2 log y); ``log`` is the C
-    library's (``_array_log``), a parameter so that a test can substitute numpy's."""
+    """-ndtri(y) for y <= exp(-2), from x = sqrt(-2 log y) >= 2; ``log`` is the C
+    library's (``math.log`` or ``_array_log``), a parameter so that a test can
+    substitute numpy's."""
     z = 1.0 / x
     return x - log(x) / x - z * _polevl(z, p) / _p1evl(z, q)
 
 
 def _ndtri_tails(y: np.ndarray) -> np.ndarray:
-    """-ndtri(y) for a 1-d array y <= exp(-2)."""
+    """-ndtri(y) for a 1-d array DBL_MIN <= y <= exp(-2)."""
     x = np.sqrt(-2.0 * _array_log(y))
     far = x >= 8.0  # y < exp(-32): rare, so P1/Q1 runs on all and is overwritten
     out = _ndtri_tail(x, _array_log, _P1, _Q1)
@@ -213,10 +238,13 @@ def ndtri(y):
     y = np.asarray(y, dtype=float)
     if y.ndim == 0:
         return _ndtri_float(float(y))
-    inside = (y > 0.0) & (y < 1.0)
-    if not inside.all():
-        out = np.where(y == 0.0, -np.inf, np.where(y == 1.0, np.inf, np.nan))
-        out[inside] = ndtri(y[inside])
+    # the edges, nan, values outside (0, 1) and subnormals, whose log
+    # _array_log refuses, take the scalar path
+    regular = (y >= _DBL_MIN) & (y < 1.0)
+    if not regular.all():
+        out = np.empty_like(y)
+        out[regular] = ndtri(y[regular])
+        out[~regular] = [_ndtri_float(v) for v in y[~regular].tolist()]
         return out
     # y > 1 - exp(-2) gives 1 - y < exp(-2) exactly, so only tails are flipped
     upper = y > 1.0 - _EXP_M2
@@ -236,7 +264,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def _erfc_rational(x: np.ndarray, p, q) -> np.ndarray:
-    return _libm(math.exp, -x * x) * _polevl(x, p) / _p1evl(x, q)
+    return _array_exp(-x * x) * _polevl(x, p) / _p1evl(x, q)
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:

@@ -467,14 +467,23 @@ def _write_artifacts(command: str, params: dict, result: CommandResult) -> list:
 
 def _libraries() -> dict:
     """What the output bytes rest on besides this package: the Python and numpy
-    versions and numpy's SIMD kernels, which set the bits of ``np.exp`` and
-    ``np.log``; a numpy whose ``show_config`` has no ``mode`` records none."""
+    versions, numpy's SIMD kernels, which set the bits of ``np.exp`` and
+    ``np.log``, and the C library, whose ``log``, ``exp``, ``clog`` and ``cexp``
+    set ``_ndtr``'s. A numpy whose ``show_config`` has no ``mode`` records no
+    kernels, and a C library that ``os.confstr`` cannot name is left out."""
     libraries = {"python": platform.python_version(), "numpy": np.__version__}
     try:
         simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        libraries["numpy_simd"] = " ".join(simd)
     except TypeError:
-        return libraries
-    return {**libraries, "numpy_simd": " ".join(simd)}
+        pass
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        libc = None
+    if libc:
+        libraries["libc"] = libc
+    return libraries
 
 
 def _digest_list(entries) -> bool:

@@ -2,7 +2,8 @@
 
 Every stochastic routine in this package draws from a Philox stream keyed
 by ``(seed, stream_id)``, or ``(seed, stream_id, child)`` for a substream;
-each part is an integer in ``[0, 2**64)``, not a bool, so no two keys alias.
+each part is an integer in ``[0, 2**64)``, not a bool, and a substream has
+no substreams of its own, so no two keys alias.
 :class:`RngStream` is a thin stateful wrapper over one such stream. A
 stream is a pure function of its key, made new at its first draw, so
 identical keys replay identical draw sequences; distinct keys give
@@ -22,9 +23,11 @@ uniform stream. The monotone coupling this induces (larger uniform, larger
 normal) is relied on by paired-seed tests elsewhere, so do not swap in a
 rejection or ziggurat sampler. The inverse CDF is the package's port of
 Cephes ``ndtri`` (``_ndtr``), bit-equal to ``scipy.special.ndtri`` without
-importing scipy. Its tails take ``log`` from the C library through
-``math.log``, because numpy's SIMD ``log`` rounds a few inputs in 10^4
-differently, and each such input would change a written sample.
+importing scipy. Its tails take ``log`` from the C library, because
+numpy's SIMD ``log`` rounds a few inputs in 10^4 differently, and each such
+input would change a written sample: a scalar through ``math.log``, an
+array through numpy's complex ``log``, whose C loop calls the C library's
+``clog``, equal to ``log`` on every argument the tails pass it.
 """
 
 from __future__ import annotations
@@ -110,7 +113,11 @@ class RngStream:
         Two calls with the same ``child`` replay the same draws; a caller
         that keeps drawing from a child holds it. Child keys are hashed
         through a seed sequence, statistically disjoint from top-level keys.
+        A substream's key has no room for a grandchild, so calling this on
+        a substream raises ``ValueError``.
         """
+        if self._child is not None:
+            raise ValueError(f"{self!r} is a substream; a substream has no substreams")
         child = _check_key("child", child)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, child))
         sub = RngStream.__new__(RngStream)

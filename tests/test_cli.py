@@ -20,6 +20,15 @@ from gbmtails.fitting import SampleCsvError, read_sample_csv
 from gbmtails.serialization import sha256_file
 
 
+def _libc() -> dict:
+    """The ``libc`` entry a manifest written here records, or none."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return {}
+    return {"libc": libc} if libc else {}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -879,8 +888,9 @@ class TestConfigAndReplay:
         manifest_path = tmp_path / "s.json.manifest.json"
         doc = json.loads(manifest_path.read_text())
         simd = " ".join(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
-        assert doc["libraries"] == {"python": platform.python_version(),
-                                    "numpy": np.__version__, "numpy_simd": simd}
+        recorded = {"python": platform.python_version(), "numpy": np.__version__,
+                    "numpy_simd": simd, **_libc()}
+        assert doc["libraries"] == recorded
         assert run_cli(capsys, "replay", str(manifest_path))[::2] == (0, "")
         doc["libraries"]["numpy"] = "1.0.0"
         manifest_path.write_text(json.dumps(doc))
@@ -895,7 +905,7 @@ class TestConfigAndReplay:
         del doc["libraries"]
         manifest_path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "replay", str(manifest_path))
-        assert code == 0 and err.count("warning:") == 3
+        assert code == 0 and err.count("warning:") == len(recorded)
         doc["libraries"] = ["numpy"]
         manifest_path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "replay", str(manifest_path))
@@ -909,7 +919,34 @@ class TestConfigAndReplay:
                        "--out", str(out_path))[0] == 0
         doc = json.loads((tmp_path / "s.json.manifest.json").read_text())
         assert doc["libraries"] == {"python": platform.python_version(),
-                                    "numpy": np.__version__}
+                                    "numpy": np.__version__, **_libc()}
+
+    def test_replay_warns_of_a_differing_libc_and_decides_by_digests(self, capsys, tmp_path):
+        if not _libc():
+            pytest.skip("os.confstr cannot name the C library here")
+        out_path = tmp_path / "h.csv"
+        run_cli(capsys, "hia", "--agents", "50", "--steps", "20", "--seed", "3",
+                "--out", str(out_path))
+        manifest_path = tmp_path / "h.csv.manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        assert doc["libraries"]["libc"] == os.confstr("CS_GNU_LIBC_VERSION")
+        doc["libraries"]["libc"] = "glibc 1.0"
+        manifest_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 0 and json.loads(out)["reproduced"] is True
+        assert err.count("warning:") == 1 and "libc glibc 1.0, this replay uses libc" in err
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_a_c_library_confstr_cannot_name_is_not_recorded(self, capsys, tmp_path,
+                                                            monkeypatch, error):
+        def confstr(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        assert run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                       "--out", str(tmp_path / "s.json"))[0] == 0
+        doc = json.loads((tmp_path / "s.json.manifest.json").read_text())
+        assert "libc" not in doc["libraries"]
 
     def test_replay_reproduces_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"

@@ -18,6 +18,11 @@ U_FLOOR = 2.0**-53
 K = np.arange(1, 2_000_001, dtype=float)
 
 
+def libm(fn, a):
+    """``fn`` (``math.log`` or ``math.exp``, the C library's) of each element of a 1-d array."""
+    return np.fromiter(map(fn, a.tolist()), float, a.size)
+
+
 def assert_bits_equal(inputs, got, want):
     assert got.shape == want.shape
     bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
@@ -59,9 +64,9 @@ def log_sensitive(uniforms):
     t = np.minimum(uniforms, 1.0 - uniforms)
     tail = (t <= _EXP_M2) & (t > math.exp(-32.0))  # the P1/Q1 tail
     u, t = uniforms[tail], t[tail]
-    log_t = _ndtr._array_log(t)
+    log_t = libm(math.log, t)
     x = np.sqrt(-2.0 * log_t)
-    return {"log(y)": u[np.log(t) != log_t], "log(x)": u[np.log(x) != _ndtr._array_log(x)]}
+    return {"log(y)": u[np.log(t) != log_t], "log(x)": u[np.log(x) != libm(math.log, x)]}
 
 
 @pytest.mark.parametrize("swapped", ["log(y)", "log(x)"])
@@ -77,6 +82,69 @@ def test_numpy_log_in_either_tail_log_would_fail(log_sensitive, swapped):
     else:
         got = _ndtr._ndtri_tail(np.sqrt(-2.0 * _ndtr._array_log(t)), np.log, _ndtr._P1, _ndtr._Q1)
     assert (got != -special.ndtri(t)).any()
+
+
+@pytest.fixture(scope="module")
+def tail_domain():
+    """What the array tails pass ``_array_log``: y <= exp(-2) on the 2**-53
+    grid of the uniforms (random, and the smallest multiples), exp(-2) and
+    its lower neighbour, each with its x = sqrt(-2 log y); x from 8, where
+    P2/Q2 starts, to 8.58, past x at y = 2**-53; and exp(-2)'s upper
+    neighbour, a y the central branch keeps."""
+    rng = np.random.default_rng(20_261_020)
+    grid = rng.integers(1, int(_EXP_M2 / U_FLOOR) + 1, 1_000_000) * U_FLOOR
+    y = np.concatenate([grid, K[:100_000] * U_FLOOR, [np.nextafter(_EXP_M2, 0.0), _EXP_M2]])
+    x = np.sqrt(-2.0 * libm(math.log, y))
+    assert x.min() == 2.0 and x.max() < 8.58
+    return np.concatenate([y, x, np.linspace(8.0, 8.58, 100_001),
+                           [np.nextafter(_EXP_M2, 1.0)]])
+
+
+def test_array_log_is_the_c_librarys_on_the_tail_domain(tail_domain):
+    assert_bits_equal(tail_domain, _ndtr._array_log(tail_domain), libm(math.log, tail_domain))
+
+
+def test_array_exp_is_the_c_librarys_on_the_erfc_domain():
+    # _erfc_rational takes exp(-a**2) for 1 <= a and -a**2 >= -_MAXLOG
+    rng = np.random.default_rng(20_261_021)
+    a = np.concatenate([-rng.uniform(1.0, _ndtr._MAXLOG, 1_000_000),
+                        -np.linspace(1.0, 8.0, 100_001) ** 2,
+                        [-1.0, -64.0, -_ndtr._MAXLOG, 0.0, 700.0, 708.0]])
+    assert_bits_equal(a, _ndtr._array_exp(a), libm(math.exp, a))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, np.nextafter(2.0, 0.0), np.nextafter(0.5, 1.0),
+                                 2.0**-1074, np.nextafter(_ndtr._DBL_MIN, 0.0), 0.0, -3.0,
+                                 math.nan])
+def test_array_log_refuses_where_clog_is_not_log(bad):
+    with pytest.raises(ValueError, match="clog is log"):
+        _ndtr._array_log(np.array([3.0, bad, 0.1]))
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(708.0, 709.0), 709.0, 710.0, math.inf])
+def test_array_exp_refuses_above_708(bad):
+    with pytest.raises(ValueError, match="cexp is exp"):
+        _ndtr._array_exp(np.array([-1.0, bad]))
+
+
+def test_complex_log_is_not_libm_log_on_the_refused_band():
+    """Why ``_array_log`` refuses [0.5, 2): glibc's ``clog`` takes ``log1p``
+    there, and some of its bits differ from ``log``'s."""
+    a = np.random.default_rng(20_261_022).uniform(0.5, 2.0, 200_000)
+    differ = np.log(a.astype(np.complex128)).real != libm(math.log, a)
+    if not differ.any():
+        pytest.skip("the C library's clog equals its log on [0.5, 2) here")
+    assert 0 < differ.sum() < a.size
+
+
+def test_ndtri_of_subnormals_takes_the_scalar_path(monkeypatch):
+    y = np.array([2.0**-1074, 1e-310, np.nextafter(_ndtr._DBL_MIN, 0.0), _ndtr._DBL_MIN, 0.3])
+    want = special.ndtri(y)
+    assert_bits_equal(y, ndtri(y), want)
+    seen = []
+    monkeypatch.setattr(_ndtr, "_ndtri_tails", lambda t: seen.append(t) or -special.ndtri(t))
+    ndtri(y)
+    assert [t.tolist() for t in seen] == [[_ndtr._DBL_MIN]]
 
 
 def test_ndtri_of_scalars_and_2d_blocks(uniforms, log_sensitive):

@@ -76,6 +76,17 @@ def test_substreams_distinct_from_plain_streams():
     assert not np.array_equal(child, plain)
 
 
+def test_a_substream_has_no_substreams():
+    """A grandchild would have no key of its own: it drew what the parent's
+    child of the same index draws, so it is refused."""
+    child = RngStream(5, 2).substream(3)
+    with pytest.raises(ValueError, match="substream"):
+        child.substream(4)
+    # the refusal leaves the child's own draws and its siblings' keys as they were
+    assert child.uniforms(3).tobytes() == RngStream(5, 2).substream(3).uniforms(3).tobytes()
+    assert RngStream(5, 2).substream(4).uniforms(3).tobytes() != child.uniforms(3).tobytes()
+
+
 def test_validation():
     with pytest.raises(ValueError):
         RngStream(1 << 64, 0)
