@@ -14,9 +14,9 @@ shock (the initial size is shock 0) is the inverse-CDF normal of draw k of
 substream i of the master stream, so exchanging two agents exchanges their
 whole shock histories and the update commutes with relabeling. ``run_hia``
 builds no stream object per agent: it derives every agent's Philox key in
-one pass, and ``_shocks`` draws the schedule 64 steps at a time into one
-step-major block, with one broadcast Philox pass per chunk of counters and
-agents; ``init_population`` and ``step_population`` take their shocks as
+one pass, and ``_shocks`` draws the schedule 64 steps at a time, each window
+one step-major block from ``rng._uniforms``, the fill the batch samplers use
+too; ``init_population`` and ``step_population`` take their shocks as
 arguments. Sizes are clamped at a positive floor instead of killing agents,
 which keeps the population fixed and the fitted tail exponents comparable
 across a sweep.
@@ -43,7 +43,7 @@ from .fitting import (
     SampleSet,
     compare_models,
 )
-from .rng import _child_keys, _philox4x64, _to_unit, normals_from_uniforms
+from .rng import _child_keys, _integer, _uniforms, normals_from_uniforms
 from .serialization import BLOCK_ROWS
 
 # Steps of shocks in one window; a multiple of 4, so a window from draw 0 on
@@ -62,9 +62,9 @@ class HiaParams:
     floor: float = 1e-9
 
     def __post_init__(self):
-        if int(self.n_agents) < 2:
+        object.__setattr__(self, "n_agents", _integer("n_agents", self.n_agents))
+        if self.n_agents < 2:
             raise ValueError("n_agents must be >= 2")
-        object.__setattr__(self, "n_agents", int(self.n_agents))
         if not math.isfinite(self.noise_std) or self.noise_std < 0:
             raise ValueError("noise_std must be finite and non-negative")
         if not math.isfinite(self.drift):
@@ -73,9 +73,9 @@ class HiaParams:
             raise ValueError("coupling_in must be finite and non-negative")
         if not math.isfinite(self.coupling_out) or self.coupling_out < 0:
             raise ValueError("coupling_out must be finite and non-negative")
-        if int(self.steps) < 1:
+        object.__setattr__(self, "steps", _integer("steps", self.steps))
+        if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        object.__setattr__(self, "steps", int(self.steps))
         if not (0 < self.floor < 1):
             raise ValueError("floor must satisfy 0 < floor < 1 (below the typical initial size)")
 
@@ -150,27 +150,12 @@ def _shocks(keys: tuple, count: int, start: int = 0):
     """Yield shocks start..start+count-1 of the agents whose Philox keys are ``keys``.
 
     Shock k of agent i is the normal of draw k of the stream keyed
-    ``(keys[0][i], keys[1][i])``: word ``k % 4`` of its Philox block ``k // 4 + 1``.
-    Each window of 64 steps is one step-major block of whole Philox blocks, filled
-    BLOCK_ROWS counters x agents at a time; its rows for the window's draws become
-    normals in place, BLOCK_ROWS values at a time, and are yielded.
+    ``(keys[0][i], keys[1][i])``. Each window of 64 steps is one step-major
+    block of uniforms from ``_uniforms``; its rows become normals in place,
+    BLOCK_ROWS values at a time, and are yielded.
     """
-    k0, k1 = keys
-    n = len(k0)
-    agents = max(1, min(n, BLOCK_ROWS))
-    counters = max(1, BLOCK_ROWS // agents)
     for lo in range(start, start + count, _BLOCK):
-        hi = min(lo + _BLOCK, start + count)
-        first, last = lo // 4, -(-hi // 4)  # the Philox blocks, less numpy's leading bump
-        block = np.empty((last - first, 4, n))
-        for b in range(first, last, counters):
-            ctr = np.arange(b + 1, min(b + counters, last) + 1, dtype=np.uint64)[:, None]
-            rows = block[b - first:b - first + counters]
-            for a in range(0, n, agents):
-                words = _philox4x64(ctr, k0[a:a + agents], k1[a:a + agents])
-                for j, word in enumerate(words):
-                    _to_unit(word, rows[:, j, a:a + agents])
-        z = block.reshape(-1, n)[lo - 4 * first:hi - 4 * first]
+        z = _uniforms(*keys, lo, min(lo + _BLOCK, start + count))
         flat = z.reshape(-1)  # a view: the rows are C-contiguous
         for a in range(0, flat.size, BLOCK_ROWS):
             flat[a:a + BLOCK_ROWS] = normals_from_uniforms(flat[a:a + BLOCK_ROWS])
@@ -260,7 +245,7 @@ def run_sweep(
     values = [float(v) for v in values]
     if len(values) < 2:
         raise ValueError("sweep needs at least 2 points")
-    n_seeds = int(n_seeds)
+    n_seeds = _integer("n_seeds", n_seeds)
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if n_seeds > _SEED_STRIDE:

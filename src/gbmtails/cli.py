@@ -546,13 +546,16 @@ def _run_replay(args: argparse.Namespace) -> int:
         raise ValueError("manifest inputs must be a list of {path, sha256} strings")
     params = _params(command, manifest["params"], "manifest params")
     recorded_libraries = manifest.get("libraries", {})
-    if not isinstance(recorded_libraries, dict):
+    if not (isinstance(recorded_libraries, dict)
+            and all(isinstance(v, str) for v in recorded_libraries.values())):
         raise ValueError("manifest libraries must be an object of version strings")
-    for name, version in _libraries().items():
-        was = recorded_libraries.get(name)
+    libraries = _libraries()
+    # this host's libraries, then those only the run could name
+    for name in [*libraries, *(k for k in recorded_libraries if k not in libraries)]:
+        was, version = recorded_libraries.get(name), libraries.get(name)
         if was != version:
             print(f"warning: the run recorded {name} {was or 'unknown'}, this replay uses "
-                  f"{name} {version}; the digests decide", file=sys.stderr)
+                  f"{name} {version or 'unknown'}; the digests decide", file=sys.stderr)
     # Relative recorded paths (outputs, fit's input) resolve against the run's
     # directory, and stay the recorded strings so the digests still match. The
     # manifest was written to <run dir>/<first output>.manifest.json; its own

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
+from .rng import RngStream, StreamUniformBlock, _integer, normals_from_uniforms
 from .sde import GbmParams, levels_from_logs, terminal_log_from_normals
 from .serialization import BATCH_CSV_HEADER, atomic_write, write_float_rows, write_text
 
@@ -127,7 +127,7 @@ def sample_killed_batch(
     as one range; it is byte-identical to any sharding of the range into
     ``killed_rows_range`` calls.
     """
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return killed_rows_range(params, schedule, master_seed, 0, n)

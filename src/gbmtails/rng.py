@@ -13,9 +13,9 @@ stream, never by sharing a stream. Batch samplers fill their rows through
 :meth:`StreamUniformBlock.rows`, which takes the leading uniforms of
 ``BLOCK_ROWS`` streams at a time. Code that needs many substreams at once,
 such as the agent simulator, takes their Philox keys from ``_child_keys``,
-which runs numpy's seed-sequence hash over every child in one pass, and
-their draws from ``_philox4x64``, the one Philox kernel, which broadcasts
-counters against keys. Neither builds a stream object, and neither depends
+which runs numpy's seed-sequence hash over every child in one pass. Both
+draw through ``_uniforms``, the one fill of counters x keys, which alone
+knows the draw layout. Neither builds a stream object, and neither depends
 on private bit-generator state.
 
 Normal variates are produced by applying the inverse normal CDF to the
@@ -266,16 +266,37 @@ def _to_unit(word: np.ndarray, out: np.ndarray) -> None:
     np.multiply(word, 2.0 ** -53, out=out)
 
 
+def _uniforms(k0, k1, lo: int, hi: int) -> np.ndarray:
+    """Draws lo..hi-1 of the streams keyed ``(k0[i], k1[i])``, step-major: shape (hi - lo, n).
+
+    Philox is counter-based (Salmon et al., SC'11): draw k of a stream is word
+    ``k % 4`` of its block ``k // 4 + 1`` (numpy bumps the counter first), and
+    ``_philox4x64`` fills whole blocks BLOCK_ROWS counters x keys at a time; a
+    range inside one block computes only its words. A key part shared by every
+    stream may be one element long, and stays so in every Philox round.
+    """
+    k0, k1 = (np.atleast_1d(np.asarray(k, dtype=np.uint64)) for k in (k0, k1))
+    (n,) = np.broadcast_shapes(k0.shape, k1.shape)
+    first, last = lo // 4, -(-hi // 4)
+    words = 4 if last - first > 1 else hi - 4 * first
+    block = np.empty((last - first, words, n))
+    keys = max(1, min(n, BLOCK_ROWS))
+    counters = max(1, BLOCK_ROWS // keys)
+    for b in range(first, last, counters):
+        ctr = np.arange(b + 1, min(b + counters, last) + 1, dtype=np.uint64)[:, None]
+        for a in range(0, n, keys):
+            part = (k if k.size == 1 else k[a:a + keys] for k in (k0, k1))
+            for j, word in enumerate(_philox4x64(ctr, *part, words)):
+                _to_unit(word, block[b - first:b - first + counters, j, a:a + keys])
+    return block.reshape((last - first) * words, n)[lo - 4 * first:hi - 4 * first]
+
+
 class StreamUniformBlock:
     """Vectorized helper: leading uniforms of many consecutive streams.
 
     Produces, for stream ids ``start .. start+n-1`` under one seed, the
     first ``width`` uniforms of each stream, byte-identical to creating the
-    ``RngStream`` objects one by one. Philox is counter-based (Salmon et
-    al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): block ``c``
-    of a stream is a pure function of ``(key, c)``, so the first blocks of
-    every stream are computed together as whole-array operations over the
-    stream keys, without touching numpy's bit-generator state.
+    ``RngStream`` objects one by one, from ``_uniforms``.
     """
 
     def __init__(self, seed: int, width: int):
@@ -283,18 +304,12 @@ class StreamUniformBlock:
         self.width = _check_count("width", width)
 
     def take(self, start: int, n: int) -> np.ndarray:
-        """Array of shape (n, width): row j = first draws of stream start+j, in one array pass."""
+        """Array of shape (n, width): row j = first draws of stream start+j."""
         start, n = _check_key("start", start), _check_count("n", n)
         if start + n > (1 << 64):
             raise ValueError("stream ids must stay below 2**64")
-        out = np.empty((n, self.width))
         ids = np.arange(n, dtype=np.uint64) + np.uint64(start)
-        # numpy's Philox bumps the counter before its first block
-        for block, col in enumerate(range(0, self.width, 4), start=1):
-            words = _philox4x64(block, self.seed, ids, min(4, self.width - col))
-            for c, word in enumerate(words, start=col):
-                _to_unit(word, out[:, c])
-        return out
+        return _uniforms(self.seed, ids, 0, self.width).T
 
     def rows(self, kernel, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Fill ``out[a:b] = kernel(self.take(lo + a, b - a))``, BLOCK_ROWS streams at a time.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
+from .rng import RngStream, StreamUniformBlock, _integer, normals_from_uniforms
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -139,7 +139,7 @@ def sample_terminal_log_batch(
     Output is a pure function of (params, t, n, master_seed) and therefore
     independent of how callers shard the work.
     """
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     terminal_log_law(params, t)  # rejects a bad horizon and a law that is not finite
@@ -169,7 +169,7 @@ def euler_path(params: GbmParams, t: float, n_steps: int, rng: RngStream) -> Sam
     t = float(t)
     if not math.isfinite(t) or t <= 0:
         raise ValueError(f"t must be finite and positive, got {t!r}")
-    n_steps = int(n_steps)
+    n_steps = _integer("n_steps", n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     dt = t / n_steps

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 from scipy.stats import kstest
 
-from gbmtails import agents
+from gbmtails import agents, rng
 from gbmtails.agents import (
     HiaParams,
     Population,
@@ -87,9 +87,11 @@ def test_shocks_equal_per_child_draws(n, count):
 
 
 def test_shocks_in_7_row_blocks_equal_one_pass(monkeypatch):
-    """Chunks of 7 counters x agents, agents split mid-block, give the same shocks."""
+    """Chunks of 7 counters x agents, agents split mid-block, and transforms of
+    7 values give the same shocks."""
     keys = _child_keys(8, 0, 30)
     whole = np.array(list(_shocks(keys, 70, start=3)))
+    monkeypatch.setattr(rng, "BLOCK_ROWS", 7)
     monkeypatch.setattr(agents, "BLOCK_ROWS", 7)
     assert np.array(list(_shocks(keys, 70, start=3))).tobytes() == whole.tobytes()
 

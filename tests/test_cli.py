@@ -948,6 +948,28 @@ class TestConfigAndReplay:
         doc = json.loads((tmp_path / "s.json.manifest.json").read_text())
         assert "libc" not in doc["libraries"]
 
+    def test_replay_warns_of_a_recorded_library_this_host_cannot_name(self, capsys, tmp_path,
+                                                                      monkeypatch):
+        run_cli(capsys, "solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01",
+                "--out", str(tmp_path / "s.json"))
+        manifest_path = tmp_path / "s.json.manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        doc["libraries"]["libc"] = "glibc 2.36"
+        manifest_path.write_text(json.dumps(doc))
+
+        def confstr(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        code, out, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 0 and json.loads(out)["reproduced"] is True
+        assert err.count("warning:") == 1
+        assert "the run recorded libc glibc 2.36, this replay uses libc unknown" in err
+        doc["libraries"]["libc"] = 236  # not a version string
+        manifest_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "replay", str(manifest_path))
+        assert code == 2 and out == "" and "version strings" in err
+
     def test_replay_reproduces_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"
         run_cli(capsys, "figure1", "--r", "0.05", "--nu", "0.01", "--alpha-min",

@@ -3,13 +3,18 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+from gbmtails import rng
+from gbmtails.agents import HiaParams, run_sweep
+from gbmtails.killing import KillSchedule, sample_killed_batch
 from gbmtails.rng import (
     RngStream,
     StreamUniformBlock,
     _child_keys,
     _philox4x64,
+    _uniforms,
     normals_from_uniforms,
 )
+from gbmtails.sde import GbmParams, euler_path, sample_terminal_log_batch
 from gbmtails.serialization import BLOCK_ROWS
 
 
@@ -193,6 +198,26 @@ def test_counts_and_start_are_rejected_not_coerced():
     assert stream.uniforms(np.int32(0)).shape == (0,)
 
 
+_GBM, _HIA = GbmParams(1.0, 0.05, 0.2), dict(n_agents=12, noise_std=0.3, steps=3)
+_COUNTED = {
+    "n_agents": lambda k: HiaParams(**{**_HIA, "n_agents": k}),
+    "steps": lambda k: HiaParams(**{**_HIA, "steps": k}),
+    "killed_n": lambda k: sample_killed_batch(_GBM, KillSchedule(0.01), k, 0),
+    "terminal_n": lambda k: sample_terminal_log_batch(_GBM, 1.0, k, 0),
+    "n_steps": lambda k: euler_path(_GBM, 1.0, k, RngStream(0)),
+    "n_seeds": lambda k: run_sweep(HiaParams(**_HIA), "noise_std", [0.1, 0.2], k, 0),
+}
+
+
+@pytest.mark.parametrize("count", _COUNTED)
+def test_model_and_sampler_counts_are_rejected_not_truncated(count):
+    call = _COUNTED[count]
+    for bad in (12.9, 2.5, True, 2.0, "2"):
+        with pytest.raises(TypeError, match="must be an integer"):
+            call(bad)
+    call(np.int64(2))  # a numpy integer is an integer
+
+
 def test_repr_names_the_child_and_rebuilds_it():
     parent = RngStream(5, 2)
     child = parent.substream(3)
@@ -237,3 +262,60 @@ def test_broadcast_philox_equals_numpy_philox(words):
         assert got[:, i].tobytes() == raw[2:, :words].tobytes()  # numpy's block c is row c - 1
         raw = np.random.Philox(key=[2**64 - 1, k1[i]]).random_raw(4 * 7).reshape(7, 4)
         assert scalar_k0[i].tobytes() == raw[6, :words].tobytes()
+
+
+def _substream_draws(seed, stream_id, n, lo, hi):
+    """Draws lo..hi-1 of substreams 0..n-1, step-major, from stream objects."""
+    rows = [RngStream(seed, stream_id).substream(i).uniforms(hi)[lo:] for i in range(n)]
+    return np.array(rows).reshape(n, hi - lo).T
+
+
+# mid-block start and end, inside one block, whole blocks, hi == lo
+_RANGES = [(3, 14), (5, 7), (4, 8), (0, 1), (1, 9), (6, 6), (8, 8)]
+
+
+@pytest.mark.parametrize("lo, hi", _RANGES)
+@pytest.mark.parametrize("n", [0, 1, 9])
+def test_uniforms_equal_substream_draws(lo, hi, n):
+    got = _uniforms(*_child_keys(2**40 + 3, 7, n), lo, hi)
+    assert got.shape == (hi - lo, n)
+    assert got.tobytes() == _substream_draws(2**40 + 3, 7, n, lo, hi).tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", _RANGES)
+@pytest.mark.parametrize("n", [0, 1, 9])
+def test_uniforms_with_a_one_element_shared_key_equal_the_block(lo, hi, n):
+    seed, start = 2**64 - 1, 2**64 - 20
+    ids = np.arange(n, dtype=np.uint64) + np.uint64(start)
+    got = _uniforms(seed, ids, lo, hi)
+    assert got.shape == (hi - lo, n)
+    assert got.T.tobytes() == StreamUniformBlock(seed, hi).take(start, n)[:, lo:].tobytes()
+    for j in range(n):
+        assert got[:, j].tobytes() == RngStream(seed, start + j).uniforms(hi)[lo:].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_uniforms_in_7_cell_chunks_equal_one_pass(monkeypatch, n):
+    """Chunks of 7 counters x keys, keys split mid-chunk, give the same bytes."""
+    keys = _child_keys(8, 0, n)
+    ids = np.arange(n, dtype=np.uint64)
+    whole = [_uniforms(*keys, 3, 45), _uniforms(5, ids, 1, 30), _uniforms(5, ids, 0, 2)]
+    monkeypatch.setattr(rng, "BLOCK_ROWS", 7)
+    chunked = [_uniforms(*keys, 3, 45), _uniforms(5, ids, 1, 30), _uniforms(5, ids, 0, 2)]
+    assert [c.tobytes() for c in chunked] == [w.tobytes() for w in whole]
+    assert whole[0].tobytes() == _substream_draws(8, 0, n, 3, 45).tobytes()
+
+
+def test_a_range_in_one_block_computes_its_words_under_a_one_element_key(monkeypatch):
+    """A shared seed broadcast to every stream would make each round's key add
+    n elements long; a width-2 block needs two words of one Philox block."""
+    calls = []
+
+    def recording(counter, k0, k1, words):
+        calls.append((np.size(counter), np.size(k0), np.size(k1), words))
+        return _philox4x64(counter, k0, k1, words)
+
+    monkeypatch.setattr(rng, "_philox4x64", recording)
+    StreamUniformBlock(5, 2).take(0, 100)
+    _uniforms(*_child_keys(5, 0, 100), 9, 11)
+    assert calls == [(1, 1, 100, 2), (1, 100, 100, 3)]

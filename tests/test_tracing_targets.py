@@ -145,3 +145,26 @@ def test_batch_csv_writer_leaves_its_handle_at_the_bytes_written(tmp_path, monke
         assert cli.main(["replay", "k.csv.manifest.json"]) == 0
     size = (tmp_path / "k.csv").stat().st_size
     assert told == [size, size]
+
+
+def test_every_stream_a_batch_sampler_draws_is_counted_at_block_take(tmp_path, monkeypatch):
+    """The tracer counts ``rng.streams_keyed`` as the ``n`` of each wrapped
+    ``StreamUniformBlock.take`` call, so the batch samplers must draw every
+    stream through that method."""
+    import gbmtails.cli as cli
+    from gbmtails.rng import StreamUniformBlock
+
+    counted = []
+    take = StreamUniformBlock.take
+
+    def counting(self, start, n):
+        counted.append(n)
+        return take(self, start, n)
+
+    monkeypatch.setattr(StreamUniformBlock, "take", counting)
+    monkeypatch.chdir(tmp_path)
+    for argv in ([*_KILLED, "--workers", "1", "--out", "k.csv"], _COMMANDS["gbm"]):
+        counted.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert sum(counted) == 1000, argv
