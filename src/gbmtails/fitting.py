@@ -39,7 +39,7 @@ class DegenerateInputError(ValueError):
 
 
 class OneSidedDataError(ValueError):
-    """Profile likelihood peaks with all data on one side of the center."""
+    """No candidate center has data strictly on both sides."""
 
 
 class SampleCsvError(ValueError):
@@ -160,7 +160,8 @@ def hill_estimator(samples: SampleSet, k: int) -> float:
     """
     x = samples.sorted
     n = x.size
-    if not isinstance(k, numbers.Integral):  # int(2.9) would fit k = 2
+    # int(2.9) would fit k = 2, and True would fit k = 1
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if not (2 <= k < n):
@@ -205,17 +206,24 @@ def _lognormal_loglik(logs: np.ndarray, mu: float, sigma: float) -> float:
 
 
 def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
-    """Profile-likelihood double-Pareto fit: (center, m1, m2, loglik).
+    """Closed-form double-Pareto MLE: (center, m1, m2, loglik).
 
-    For a fixed center c the tail rates are the reciprocal mean log
-    distances on each side, m1 = n_above / sum(ln(x/c) above) and
-    m2 = n_below / sum(ln(c/x) below), with points tied to the center
-    carrying no distance and counted on neither side. The candidate centers
-    are the interior distinct values (every distinct value but the smallest
-    and the largest, exactly those with data strictly on both sides). The
-    best candidate is refined by golden section between its neighbours; the
-    profile is piecewise smooth with kinks at the data points, so the
-    candidate itself is kept when the kink is the peak.
+    In logs the double-Pareto is asymmetric-Laplace, whose joint MLE has a
+    closed form (Kotz, Kozubowski and Podgorski, "Maximum likelihood
+    estimation of asymmetric Laplace parameters", Ann. Inst. Statist. Math.
+    54, 2002). For a center c let H = sum(ln(x/c)) over the points above c
+    and L = sum(ln(c/x)) over those below; points tied to the center carry
+    no distance. The center minimises sqrt(H) + sqrt(L), and then
+
+        m1 = n / (H + sqrt(H L)),    m2 = n / (L + sqrt(H L)),
+        loglik = n ln n - 2n ln(sqrt(H) + sqrt(L)) - n - sum(ln x).
+
+    Between two data values sqrt(H) + sqrt(L) is concave in ln c, so its
+    minimum is a data value. The candidate centers are the interior distinct
+    values (every distinct value but the smallest and the largest, exactly
+    those with data strictly on both sides). Scores within 64 ulps of the
+    minimum tie, and the tie goes to the most balanced split, then to the
+    lowest center.
 
     Raises OneSidedDataError when there are fewer than 3 distinct values
     (no candidate has data on both sides): the data wants a one-sided power
@@ -223,12 +231,12 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
     when distinct values share a float64 log, leaving a candidate no
     log distance on one side.
 
-    The profile runs BLOCK_ROWS candidates at a time, each block checked for
+    The scores run BLOCK_ROWS candidates at a time, each block checked for
     equal logs first; elementwise work has the same bits in any block.
     ``prefix`` is one whole cumsum: a blocked ``np.cumsum(block) + carry``
     rounds differently (prepending the carry to ``np.add.accumulate`` would
-    not). ``starts`` and ``ll`` stay full length, so the tie window over the
-    global maximum and the tie-break see every candidate.
+    not). ``starts`` and ``score`` stay full length, so the tie window over
+    the global minimum and the tie-break see every candidate.
     """
     x, logs = samples.sorted, samples.logs
     n = x.size
@@ -247,92 +255,35 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
             "no candidate center has data on both sides; fit the pareto_tail model"
         )
     first, right = starts[:-1], starts[1:]
-    ll = np.empty(first.size)
-    for a in range(0, ll.size, BLOCK_ROWS):
+    score = np.empty(first.size)
+    for a in range(0, score.size, BLOCK_ROWS):
         block = slice(a, a + BLOCK_ROWS)
-        k_lo, k_hi = first[block], n - right[block]
+        k_lo = first[block]
         log_u = logs[k_lo]
         s_lo = k_lo * log_u - prefix[k_lo - 1]
-        s_hi = (total - prefix[right[block] - 1]) - k_hi * log_u
+        s_hi = (total - prefix[right[block] - 1]) - (n - right[block]) * log_u
         if np.any(s_lo <= 0.0) or np.any(s_hi <= 0.0):
             raise DegenerateInputError(
                 "distinct values with equal float64 logs leave a candidate center "
                 "no log distance on one side"
             )
-        ll[block] = _profile_loglik(n, k_lo, k_hi, s_lo, s_hi, log_u, np.log)
-    # the profile can be exactly flat (log-equispaced data); break ulp-level
-    # ties toward the most balanced split so symmetric samples keep their
-    # center, without disturbing genuinely distinct candidates
-    ll_max = float(np.max(ll))
-    tied = np.flatnonzero(ll >= ll_max - 64.0 * np.spacing(max(1.0, abs(ll_max))))
+        score[block] = np.sqrt(s_lo) + np.sqrt(s_hi)
+    # symmetric samples tie in pairs; ulp-level ties go to the most balanced
+    # split, then the lowest center, without disturbing distinct candidates
+    low = float(np.min(score))
+    tied = np.flatnonzero(score <= low + 64.0 * np.spacing(low))
     best = int(tied[np.argmin(np.abs(first[tied] - (n - right[tied])))])
-
-    def split(c: float) -> tuple[int, int]:
-        """Number of points below c, and index of the first point above it."""
-        return int(np.searchsorted(x, c, side="left")), int(np.searchsorted(x, c, side="right"))
-
-    def profile(c: float) -> float:
-        left, rgt = split(c)
-        if left < 1 or rgt >= n:
-            return -math.inf
-        log_c = math.log(c)
-        lo = left * log_c - prefix[left - 1]
-        hi = (total - prefix[rgt - 1]) - (n - rgt) * log_c
-        return _profile_loglik(n, left, n - rgt, lo, hi, log_c, math.log)
-
-    # refine between the neighbours of the best candidate; golden section
-    # runs in log-ratio coordinates so its iterates commute with rescaling
-    center = float(x[first[best]])
-    theta = _golden_max(
-        lambda th: profile(center * math.exp(th)),
-        math.log(float(x[first[best] - 1]) / center),
-        math.log(float(x[right[best]]) / center),
-    )
-    refined = center * math.exp(theta)
-    if profile(refined) > ll[best]:
-        center = float(refined)
 
     # final side sums computed directly (not via prefix differences) so
     # exactly mirrored samples give byte-equal rates
-    left, rgt = split(center)
-    log_c = math.log(center)
-    below, above = logs[:left], logs[rgt:]
+    left = int(first[best])
+    log_c = float(logs[left])
+    below, above = logs[:left], logs[right[best]:]
     s_lo_c = below.size * log_c - float(np.sum(below))
     s_hi_c = float(np.sum(above)) - above.size * log_c
-    m1_hat = above.size / s_hi_c
-    m2_hat = below.size / s_lo_c
-    return float(center), float(m1_hat), float(m2_hat), float(profile(center))
-
-
-def _profile_loglik(n, k_lo, k_hi, lo, hi, log_c, log):
-    """Log-likelihood at center exp(log_c) with both rates profiled out, for
-    k_lo points below (log-distance sum lo) and k_hi above (sum hi). profile()
-    passes math.log, not np.log, which rounds a few inputs differently."""
-    m1 = k_hi / hi
-    m2 = k_lo / lo
-    return n * (log(m1) + log(m2) - log(m1 + m2) - log_c) - k_lo - k_hi + (lo - hi)
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fn, lo: float, hi: float) -> float:
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(200):
-        if (b - a) <= max(1e-13, 1e-12 * max(abs(a), abs(b))):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    return c if fc >= fd else d
+    root = math.sqrt(s_hi_c * s_lo_c)
+    ll = n * math.log(n) - 2 * n * math.log(math.sqrt(s_hi_c) + math.sqrt(s_lo_c)) - n - total
+    return float(x[left]), n / (s_hi_c + root), n / (s_lo_c + root), float(ll)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +419,8 @@ def loglog_histogram(samples: SampleSet, bins_per_decade: int) -> np.ndarray:
     density is count / (n * linear bin width), so density * width sums to
     one. Empty bins are omitted; bin centers are geometric midpoints.
     """
-    if not isinstance(bins_per_decade, numbers.Integral) or bins_per_decade < 1:
+    if (isinstance(bins_per_decade, bool) or not isinstance(bins_per_decade, numbers.Integral)
+            or bins_per_decade < 1):
         raise ValueError(f"bins_per_decade must be an integer >= 1, got {bins_per_decade!r}")
     bins_per_decade = int(bins_per_decade)
     x = samples.sorted

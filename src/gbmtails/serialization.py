@@ -83,8 +83,8 @@ def dumps(obj) -> str:
 
 
 # Rows per block of every pass over a sample or a batch: Philox draws, the
-# killed kernel, the agents' shock transform, the double-Pareto profile, KS
-# statistics and CSV formatting.
+# killed kernel, the agents' shock transform, the double-Pareto candidate
+# scores, KS statistics and CSV formatting.
 # Each pass is elementwise, so the block size bounds temporaries and changes
 # no byte.
 BLOCK_ROWS = 1 << 14

@@ -11,8 +11,10 @@ broadcast Philox pass; the 100k-point ``figure1`` digest, the benchmark's pin, b
 per-point exponent solver, before the shared array body; the ``solve``
 digests by the report built field by field, before ``asdict``; the
 degenerate ``fit`` digests by the lognormal fit's point-mass sentinel, before
-every estimator raised); any change to them is a change to the program's
-output bytes.
+every estimator raised). The killed and gbm ``fit`` digests, the ``hia`` stdout
+digests and the ``sweep`` CSV digests were produced by the closed-form double-Pareto MLE,
+and the earlier ones by the golden-section search over the plug-in profile.
+Any change to them is a change to the program's output bytes.
 """
 
 import hashlib
@@ -60,7 +62,7 @@ def test_fit_killed(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["fit", "k1.csv"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "963aa255f01fb15fa4ad74a2847cf712947e3f6db8ad064a8b6759a081b6913a"
+    assert digest == "bcb22f1c98a30d72b628eec03330f89c3476222799b9954c9bf563e7e1f1f299"
 
 
 def test_fit_gbm(tmp_path, capsys, monkeypatch):
@@ -70,7 +72,7 @@ def test_fit_gbm(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["fit", "g1.csv"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "27f82032a2fc6859b37ff26e421a3407ddc59b185a02695edaa6dd74e861ddd3"
+    assert digest == "5d07f9ba798d7364fc0329d6e6386963cff75248dc99c23336bf2231ebc4dcf0"
 
 
 @pytest.mark.parametrize("rows,digest", [
@@ -148,7 +150,7 @@ def test_hia(tmp_path, capsys):
     assert main(["hia", "--agents", "50", "--steps", "20", "--seed", "3", "--out", str(out)]) == 0
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert _sha(out) == "aa0dc588e7a52622ede50e2b52e49a6fbb3220eb3bddeeeeb83196d48cddb73b"
-    assert stdout == "36ba5e4707c6d5984cbec407780726c753d8e41de16121d24c8e35aead3582fe"
+    assert stdout == "eae1f61e183e49f08e11de1327ecf7d110e04ed0ea5116647b9f3d0efe3fc196"
 
 
 def test_hia_past_read_ahead(tmp_path, capsys):
@@ -157,7 +159,7 @@ def test_hia_past_read_ahead(tmp_path, capsys):
     assert main(["hia", "--agents", "30", "--steps", "150", "--seed", "3", "--out", str(out)]) == 0
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert _sha(out) == "9d9229a34c7f816532d1f222fb2ed5731984c157aa66fc48b338f5a48bdaf71c"
-    assert stdout == "e46f72c82cdbb92a002be11d673490efd9cc698b3247e71bd9b35e8eead4a583"
+    assert stdout == "9ff858e4c59f1320529ab10a27266d6d04e6c62e4ef7ea27f66fc81fad4be895"
 
 
 def test_hia_in_7_row_blocks(tmp_path, capsys, monkeypatch):
@@ -202,7 +204,7 @@ def test_figure1_full_grid(capsys):
 
 SWEEP = ("sweep", "--vary", "noise_std", "--min", "0.1", "--max", "0.5",
          "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "15", "--seed", "5")
-SWEEP_CSV = "4d8048fafc95fb4abde8edfab1bb9dfb38b933aec15c481fd6ccbd7684423a55"
+SWEEP_CSV = "54f8e8d2ddb196bf127303256f5d6ebf7e8a79936e007d6f8259c645f8e64fde"
 SWEEP_STDOUT = "638e4e42be58e8d6b721346a044715f36dfd189642bb986340247efc4385b910"
 
 
@@ -253,5 +255,5 @@ def test_sweep_past_read_ahead(tmp_path, capsys):
                  "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "100",
                  "--seed", "5", "--out", str(out)]) == 0
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert _sha(out) == "5d36ecc2eb94c00f7c668d00b5b535d1524bbbb129415e132380053cc18c44da"
+    assert _sha(out) == "f6292ddf1b6c4ac66b15831e7f690ee2ca5f9344c0d7d555334635d885cd5ce6"
     assert stdout == "638e4e42be58e8d6b721346a044715f36dfd189642bb986340247efc4385b910"
