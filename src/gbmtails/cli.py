@@ -647,8 +647,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "replay":
-            return _run_replay(args)
-        return _run_command(args.command, args)
+            code = _run_replay(args)
+        else:
+            code = _run_command(args.command, args)
+        sys.stdout.flush()  # a stdout that cannot take the output is an I/O failure
+        return code
     except ValueError as exc:  # SampleCsvError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -658,7 +661,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,6 +1,9 @@
+import gc
+import importlib
 import json
 import math
 import os
+import pathlib
 import platform
 import re
 import shlex
@@ -1047,6 +1050,14 @@ class TestConfigAndReplay:
         assert manifest_path.read_bytes() == manifest_bytes
 
 
+def _stdout_env(unbuffered: bool) -> dict:
+    """This environment with ``PYTHONUNBUFFERED`` set to 1, or removed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestEntryPoint:
     @pytest.mark.parametrize("command", [*COMMANDS, "replay"])
     def test_help_renders(self, command):
@@ -1072,6 +1083,64 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--r", "abc", "--alpha", "0.2", "--nu", "0.01"],  # argparse usage
+        ["solve", "--r", "0.05", "--alpha", "1e100", "--nu", "0.01"],  # ValueError
+    ], ids=["usage", "value_error"])
+    def test_module_validation_failures_exit_2(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "gbmtails", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_module_stdout_is_the_out_file(self, tmp_path, unbuffered):
+        """Freezing the heap at exit loses none of a large buffered stdout."""
+        env = _stdout_env(unbuffered)
+        argv = [sys.executable, "-m", "gbmtails", "figure1", "--r", "0.05", "--nu", "0.01",
+                "--alpha-min", "0.05", "--alpha-max", "2", "--points", "20000"]
+        proc = subprocess.run(argv, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "f.csv"
+        assert subprocess.run([*argv, "--out", str(out)], env=env).returncode == 0
+        assert len(proc.stdout) > 100_000
+        assert proc.stdout == out.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stdout_that_cannot_be_written_exits_3(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gbmtails", "solve", "--r", "0.05", "--alpha", "0.2",
+                 "--nu", "0.01"],
+                env=_stdout_env(unbuffered), stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--r", "0.05", "--alpha", "0.2", "--nu", "0.01"], ["--version"],
+    ], ids=["solve", "version"])
+    def test_main_in_process_leaves_the_collector_as_it_was(self, capsys, argv):
+        frozen = gc.get_freeze_count()
+        try:
+            assert main(argv) == 0
+        except SystemExit as exc:  # --version exits from argparse
+            assert exc.code == 0
+        capsys.readouterr()
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+    def test_installed_script_is_the_module_entry(self):
+        import tomllib
+
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gbmtails"]
+        assert target == "gbmtails.__main__:run"
+        module, name = target.split(":")
+        assert callable(getattr(importlib.import_module(module), name))
 
 
 # Runs CLI argument lists in one interpreter in which any import of scipy
