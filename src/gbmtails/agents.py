@@ -43,7 +43,8 @@ from .fitting import (
     SampleSet,
     compare_models,
 )
-from .rng import _child_keys, _integer, _uniforms, normals_from_uniforms
+from ._checks import _integer, _positive_array, _real
+from .rng import _child_keys, _uniforms, normals_from_uniforms
 from .serialization import BLOCK_ROWS
 
 # Steps of shocks in one window; a multiple of 4, so a window from draw 0 on
@@ -53,6 +54,11 @@ _BLOCK = 64
 
 @dataclass(frozen=True)
 class HiaParams:
+    """Simulation settings: at least 2 agents and 1 step, every real a finite ``float``.
+
+    noise_std and the couplings are >= 0, and 0 < floor < 1.
+    """
+
     n_agents: int
     noise_std: float
     drift: float = 0.0
@@ -62,42 +68,34 @@ class HiaParams:
     floor: float = 1e-9
 
     def __post_init__(self):
-        object.__setattr__(self, "n_agents", _integer("n_agents", self.n_agents))
-        if self.n_agents < 2:
-            raise ValueError("n_agents must be >= 2")
-        if not math.isfinite(self.noise_std) or self.noise_std < 0:
-            raise ValueError("noise_std must be finite and non-negative")
-        if not math.isfinite(self.drift):
-            raise ValueError("drift must be finite")
-        if not math.isfinite(self.coupling_in) or self.coupling_in < 0:
-            raise ValueError("coupling_in must be finite and non-negative")
-        if not math.isfinite(self.coupling_out) or self.coupling_out < 0:
-            raise ValueError("coupling_out must be finite and non-negative")
-        object.__setattr__(self, "steps", _integer("steps", self.steps))
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not (0 < self.floor < 1):
+        object.__setattr__(self, "n_agents", _integer("n_agents", self.n_agents, 2))
+        object.__setattr__(self, "steps", _integer("steps", self.steps, 1))
+        for name, low in (("noise_std", 0.0), ("drift", -math.inf), ("coupling_in", 0.0),
+                          ("coupling_out", 0.0)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), low))
+        object.__setattr__(self, "floor", _real("floor", self.floor, 0.0, strict=True))
+        if self.floor >= 1:
             raise ValueError("floor must satisfy 0 < floor < 1 (below the typical initial size)")
 
 
 @dataclass(frozen=True)
 class Population:
     """Agent sizes after ``step`` updates. ``clamped`` counts the agent
-    updates, initial draw included, that were raised to the floor."""
+    updates, initial draw included, that were raised to the floor.
+
+    ``sizes`` is a non-empty 1-d array of finite positive values and
+    ``step`` an int >= 0."""
 
     sizes: np.ndarray
     step: int = 0
     clamped: int = 0
 
     def __post_init__(self):
-        sizes = np.asarray(self.sizes, dtype=float)
+        sizes = _positive_array("sizes", self.sizes)
         if sizes.ndim != 1 or sizes.size == 0:
             raise ValueError("sizes must be a non-empty 1-d array")
-        if np.any(~np.isfinite(sizes)) or np.any(sizes <= 0):
-            raise ValueError("sizes must be finite and strictly positive")
         object.__setattr__(self, "sizes", sizes)
-        if self.step < 0:
-            raise ValueError("step must be non-negative")
+        object.__setattr__(self, "step", _integer("step", self.step, 0))
 
 
 def _stable_mean(sizes: np.ndarray) -> float:
@@ -170,14 +168,13 @@ def run_hia(params: HiaParams, seed: int) -> tuple[Population, float, FitReport]
     steps. The FitReport compares tail models on the final sizes, so the
     population must have at least 10 agents.
     """
-    if params.n_agents < 10:
-        raise ValueError("run_hia needs n_agents >= 10 for the model comparison")
-    shocks = _shocks(_child_keys(seed, 0, params.n_agents), params.steps + 1)
+    n_agents = _integer("n_agents", params.n_agents, 10)  # for the model comparison
+    shocks = _shocks(_child_keys(seed, 0, n_agents), params.steps + 1)
     pop = init_population(params, next(shocks))
     window = max(1, params.steps // 10)
     window_start = params.steps - window
-    rates = np.empty(window * params.n_agents)
-    log_growth = rates.reshape(window, params.n_agents)
+    rates = np.empty(window * n_agents)
+    log_growth = rates.reshape(window, n_agents)
     for k in range(params.steps):
         prev = pop.sizes
         pop = step_population(pop, params, next(shocks))
@@ -242,12 +239,10 @@ def run_sweep(
     """
     if vary not in ("noise_std", "coupling_in", "coupling_out"):
         raise ValueError(f"cannot vary {vary!r}")
-    values = [float(v) for v in values]
+    values = [_real(vary, v) for v in values]
     if len(values) < 2:
         raise ValueError("sweep needs at least 2 points")
-    n_seeds = _integer("n_seeds", n_seeds)
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    n_seeds = _integer("n_seeds", n_seeds, 1)
     if n_seeds > _SEED_STRIDE:
         raise ValueError(f"n_seeds must be <= {_SEED_STRIDE}, got {n_seeds}")
     max_seed = 2**64 - 1 - _SEED_STRIDE * (len(values) - 1) - (n_seeds - 1)

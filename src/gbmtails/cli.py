@@ -619,8 +619,19 @@ def _run_replay(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a ``--help`` or ``--version`` text stdout cannot
+    take raises ``OSError``, as any other output does; argparse drops it."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout and message:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gbmtails",
         description=(
             "Simulate geometric Brownian motion observed at random exponential "
@@ -644,8 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:  # --help and --version exit here, and their text is output too
+            sys.stdout.flush()
         if args.command == "replay":
             code = _run_replay(args)
         else:

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._checks import _positive_array, _real
 from .serialization import write_float_rows, write_text
 
 if TYPE_CHECKING:  # annotations only: solving exponents needs no sampler
@@ -63,22 +64,12 @@ class Regime(str, enum.Enum):
     STOCHASTIC = "Stochastic"
 
 
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-    return value
-
-
 def classify_regime(r: float, alpha: float) -> tuple[float, Regime]:
     """Critical volatility sqrt(2 r) and which side of it alpha falls on.
 
     Rejects r <= 0, where the critical volatility is undefined.
     """
-    r = _check_positive("r", r)
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0:
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
+    r, alpha = _real("r", r, 0.0, strict=True), _real("alpha", alpha, 0.0)
     alpha_star = math.sqrt(2.0 * r)
     if abs(alpha - alpha_star) <= CRITICAL_BAND * alpha_star:
         return alpha_star, Regime.CRITICAL
@@ -162,9 +153,9 @@ def solve_exponents_canonical(r: float, alpha: float, nu: float) -> ExponentSolu
     inputs whose exponents overflow or vanish (also in ``solve_exponents_signed``
     and ``exponent_curves``).
     """
-    r = _check_positive("r", r)
-    alpha = _check_positive("alpha", alpha)
-    nu = _check_positive("nu", nu)
+    r = _real("r", r, 0.0, strict=True)
+    alpha = _real("alpha", alpha, 0.0, strict=True)
+    nu = _real("nu", nu, 0.0, strict=True)
     m1, m2, m1_signed, m2_signed, mu = (float(v) for v in _representable_roots(r, alpha, nu))
     alpha_star, regime = classify_regime(r, alpha)
     return ExponentSolution(m1, m2, m1_signed, m2_signed, mu, alpha_star, regime)
@@ -181,11 +172,9 @@ def solve_exponents_signed(r: float, alpha: float, nu: float) -> tuple[float, fl
     printed expression divides by zero, the limiting branch
     (+sqrt(nu/r), -sqrt(nu/r)) is returned. Shares ``exponent_curves``' body.
     """
-    r = float(r)
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r!r}")
-    alpha = _check_positive("alpha", alpha)
-    nu = _check_positive("nu", nu)
+    r = _real("r", r)
+    alpha = _real("alpha", alpha, 0.0, strict=True)
+    nu = _real("nu", nu, 0.0, strict=True)
     _, _, m1_signed, m2_signed, _ = _representable_roots(r, alpha, nu)
     return float(m1_signed), float(m2_signed)
 
@@ -197,16 +186,19 @@ def solve_exponents_signed(r: float, alpha: float, nu: float) -> tuple[float, fl
 
 @dataclass(frozen=True)
 class DoubleParetoDist:
-    """Power-law tails on both sides of ``center``: m1 above, m2 below."""
+    """Power-law tails on both sides of ``center``: m1 above, m2 below.
+
+    Each field is stored as a finite ``float`` > 0, so a float32 rate
+    evaluates the law in float64.
+    """
 
     center: float
     m1: float
     m2: float
 
     def __post_init__(self):
-        _check_positive("center", self.center)
-        _check_positive("m1", self.m1)
-        _check_positive("m2", self.m2)
+        for name in ("center", "m1", "m2"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, strict=True))
 
     @property
     def split(self) -> float:
@@ -218,13 +210,6 @@ def killed_state_dist(params: GbmParams, schedule: KillSchedule) -> DoublePareto
     """Analytic marginal law of the killed state: centered at x0, canonical rates."""
     sol = solve_exponents_canonical(params.r, params.alpha, schedule.nu)
     return DoubleParetoDist(center=params.x0, m1=sol.m1_canonical, m2=sol.m2_canonical)
-
-
-def _check_levels(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0):
-        raise ValueError("levels must be finite and strictly positive")
-    return x
 
 
 def _two_sided(values, lower, below, above):
@@ -244,7 +229,7 @@ def dpareto_pdf(dist: DoubleParetoDist, x):
     """
     c, m1, m2 = dist.center, dist.m1, dist.m2
     norm = m1 * m2 / ((m1 + m2) * c)
-    ratio = _check_levels(x) / c
+    ratio = _positive_array("levels", x) / c
     return _two_sided(ratio, ratio <= 1.0, lambda r: norm * r ** (m2 - 1.0),
                       lambda r: norm * r ** (-m1 - 1.0))
 
@@ -252,7 +237,7 @@ def dpareto_pdf(dist: DoubleParetoDist, x):
 def dpareto_cdf(dist: DoubleParetoDist, x):
     """Closed-form CDF; equals m1/(m1+m2) at the center."""
     m1, m2 = dist.m1, dist.m2
-    ratio = _check_levels(x) / dist.center
+    ratio = _positive_array("levels", x) / dist.center
     # 1 - k r^-m1 bit for bit, 1.0 added last so numpy reuses the temporary array
     return _two_sided(ratio, ratio <= 1.0, lambda r: (m1 / (m1 + m2)) * r ** m2,
                       lambda r: -(m2 / (m1 + m2)) * r ** (-m1) + 1.0)
@@ -270,7 +255,7 @@ def dpareto_quantile(dist: DoubleParetoDist, p):
 
 def dpareto_log_mgf(dist: DoubleParetoDist, s: float) -> float:
     """Moment generating function of ln(state), finite only on (-m2, m1)."""
-    s = float(s)
+    s = _real("s", s)
     if not (-dist.m2 < s < dist.m1):
         raise ValueError(
             f"s={s!r} outside the convergence strip (-{dist.m2}, {dist.m1})"
@@ -339,9 +324,9 @@ def limit_table(r: float, alpha: float, nu: float) -> LimitReport:
     direct evaluation (they appear side-swapped), so signs are only
     recorded, never corrected.
     """
-    r = _check_positive("r", r)
-    alpha = _check_positive("alpha", alpha)
-    nu = _check_positive("nu", nu)
+    r = _real("r", r, 0.0, strict=True)
+    alpha = _real("alpha", alpha, 0.0, strict=True)
+    nu = _real("nu", nu, 0.0, strict=True)
     alpha_star = math.sqrt(2.0 * r)
     sqrt_nur = math.sqrt(nu / r)
     alphas = [alpha, alpha, ALPHA_TINY, alpha_star * (1.0 + CRIT_REL_OFFSET),
@@ -389,13 +374,11 @@ def exponent_curves(r: float, nu: float, alpha_grid) -> np.ndarray:
     rejected (the signed forms blow up there). Each row is bit-equal to
     the scalar solvers at that alpha (one shared body).
     """
-    r = _check_positive("r", r)
-    nu = _check_positive("nu", nu)
-    grid = np.asarray(alpha_grid, dtype=float)
+    r = _real("r", r, 0.0, strict=True)
+    nu = _real("nu", nu, 0.0, strict=True)
+    grid = _positive_array("alpha grid values", alpha_grid)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("alpha_grid must be a non-empty 1-d array")
-    if np.any(~np.isfinite(grid)) or np.any(grid <= 0):
-        raise ValueError("alpha grid values must be finite and positive")
     alpha_star = math.sqrt(2.0 * r)
     if np.any(np.abs(grid - alpha_star) <= CURVE_EXCLUSION_BAND * alpha_star):
         raise ValueError(

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._checks import _positive_array
 from ._ndtr import ndtr
 from .dpareto import DoubleParetoDist, dpareto_cdf
 from .serialization import (BATCH_CSV_HEADER, BLOCK_ROWS, SAMPLE_CSV_HEADER, atomic_write,
@@ -58,11 +59,9 @@ class SampleSet:
     source: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).view()
+        values = _positive_array("values", self.values).view()
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
-        if np.any(~np.isfinite(values)) or np.any(values <= 0):
-            raise ValueError("values must be finite and strictly positive")
         values.flags.writeable = False  # a view, so the caches below cannot go stale
         object.__setattr__(self, "values", values)
 
@@ -226,10 +225,15 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
     lowest center.
 
     Raises OneSidedDataError when there are fewer than 3 distinct values
-    (no candidate has data on both sides): the data wants a one-sided power
-    law, so fit the pareto_tail model instead. Raises DegenerateInputError
-    when distinct values share a float64 log, leaving a candidate no
-    log distance on one side.
+    (no candidate has data on both sides), or when no interior candidate
+    beats the one-sided limits: the center at the smallest value (L = 0,
+    score sqrt(H)) or at the largest (H = 0, score sqrt(L)), each O(1) from
+    ``prefix``. A limit scoring at or below the best interior candidate has
+    the higher likelihood, and an interior fit next to it would report an
+    arbitrarily large rate: the data wants a one-sided power law, so fit the
+    pareto_tail model instead. Raises DegenerateInputError when distinct
+    values share a float64 log, leaving a candidate no log distance on one
+    side.
 
     The scores run BLOCK_ROWS candidates at a time, each block checked for
     equal logs first; elementwise work has the same bits in any block.
@@ -268,9 +272,15 @@ def fit_dpareto_mle(samples: SampleSet) -> tuple[float, float, float, float]:
                 "no log distance on one side"
             )
         score[block] = np.sqrt(s_lo) + np.sqrt(s_hi)
+    low = float(np.min(score))
+    # c -> min(x) (L = 0) and c -> max(x) (H = 0) score sqrt(H) and sqrt(L)
+    if min(math.sqrt(total - n * logs[0]), math.sqrt(n * logs[-1] - total)) <= low:
+        raise OneSidedDataError(
+            "the likelihood is highest with the center at the smallest or largest value, "
+            "where one tail has no data; fit the pareto_tail model"
+        )
     # symmetric samples tie in pairs; ulp-level ties go to the most balanced
     # split, then the lowest center, without disturbing distinct candidates
-    low = float(np.min(score))
     tied = np.flatnonzero(score <= low + 64.0 * np.spacing(low))
     best = int(tied[np.argmin(np.abs(first[tied] - (n - right[tied])))])
 

@@ -12,41 +12,36 @@ and callers wanting it should sample the fixed-horizon law directly.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, StreamUniformBlock, _integer, normals_from_uniforms
+from ._checks import _integer, _real
+from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 from .sde import GbmParams, levels_from_logs, terminal_log_from_normals
 from .serialization import BATCH_CSV_HEADER, atomic_write, write_float_rows, write_text
 
 
 @dataclass(frozen=True)
 class KillSchedule:
-    """Exponential observation-horizon rate; mean horizon is 1/nu."""
+    """Exponential observation-horizon rate, a finite ``float`` > 0; mean horizon is 1/nu."""
 
     nu: float
 
     def __post_init__(self):
-        nu = float(self.nu)
-        if not math.isfinite(nu) or nu <= 0:
-            raise ValueError(f"nu must be finite and strictly positive, got {self.nu!r}")
-        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nu", _real("nu", self.nu, 0.0, strict=True))
 
 
 @dataclass(frozen=True)
 class KilledSample:
-    """One (horizon, state) observation."""
+    """One (horizon, state) observation, as finite ``float``s: kill_time >= 0, state > 0."""
 
     kill_time: float
     state: float
 
     def __post_init__(self):
-        if not (self.kill_time >= 0):
-            raise ValueError("kill_time must be non-negative")
-        if not (self.state > 0):
-            raise ValueError("state must be strictly positive")
+        object.__setattr__(self, "kill_time", _real("kill_time", self.kill_time, 0.0))
+        object.__setattr__(self, "state", _real("state", self.state, 0.0, strict=True))
 
 
 def kill_time_from_uniform(u, schedule: KillSchedule):
@@ -127,10 +122,7 @@ def sample_killed_batch(
     as one range; it is byte-identical to any sharding of the range into
     ``killed_rows_range`` calls.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return killed_rows_range(params, schedule, master_seed, 0, n)
+    return killed_rows_range(params, schedule, master_seed, 0, _integer("n", n, 1))
 
 
 def write_batch_csv_fh(fh, batch: np.ndarray) -> None:

@@ -3,7 +3,9 @@
 Every stochastic routine in this package draws from a Philox stream keyed
 by ``(seed, stream_id)``, or ``(seed, stream_id, child)`` for a substream;
 each part is an integer in ``[0, 2**64)``, not a bool, and a substream has
-no substreams of its own, so no two keys alias.
+no substreams of its own, so no two keys alias. That key range is this
+module's rule (``_check_key``); counts of draws, streams and columns follow
+the package's rule for integers (``_checks._integer``, at least 0).
 :class:`RngStream` is a thin stateful wrapper over one such stream. A
 stream is a pure function of its key, made new at its first draw, so
 identical keys replay identical draw sequences; distinct keys give
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import _integer
 from ._ndtr import ndtri
 from .serialization import BLOCK_ROWS
 
@@ -44,26 +47,11 @@ _UINT64_MASK = (1 << 64) - 1
 _U_FLOOR = 2.0 ** -53
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or any other non-integer is refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    return int(value)
-
-
 def _check_key(name: str, value) -> int:
     """A seed, stream id or child index as an int in ``[0, 2**64)``."""
     value = _integer(name, value)
     if not 0 <= value <= _UINT64_MASK:
         raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
-    return value
-
-
-def _check_count(name: str, value) -> int:
-    """A count of streams, draws or columns as an int >= 0."""
-    value = _integer(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 
 
@@ -93,7 +81,7 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next ``n`` uniform draws in [0, 1)."""
-        return self._gen.random(_check_count("n", n))
+        return self._gen.random(_integer("n", n, 0))
 
     # -- normal draws via inverse CDF ------------------------------------
 
@@ -103,7 +91,7 @@ class RngStream:
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normal draws."""
-        return normals_from_uniforms(self._gen.random(_check_count("n", n)))
+        return normals_from_uniforms(self._gen.random(_integer("n", n, 0)))
 
     # -- derived streams --------------------------------------------------
 
@@ -232,7 +220,7 @@ def _child_keys(seed: int, stream_id: int, n: int, first: int = 0) -> tuple:
     children must lie below 2**32.
     """
     seed, stream_id = _check_key("seed", seed), _check_key("stream_id", stream_id)
-    first, n = _check_count("first", first), _check_count("n", n)
+    first, n = _integer("first", first, 0), _integer("n", n, 0)
     if first + n > 1 << 32:
         raise ValueError("bulk child keys need every child below 2**32")
     run = _words32(seed)
@@ -301,11 +289,11 @@ class StreamUniformBlock:
 
     def __init__(self, seed: int, width: int):
         self.seed = _check_key("seed", seed)
-        self.width = _check_count("width", width)
+        self.width = _integer("width", width, 0)
 
     def take(self, start: int, n: int) -> np.ndarray:
         """Array of shape (n, width): row j = first draws of stream start+j."""
-        start, n = _check_key("start", start), _check_count("n", n)
+        start, n = _check_key("start", start), _integer("n", n, 0)
         if start + n > (1 << 64):
             raise ValueError("stream ids must stay below 2**64")
         ids = np.arange(n, dtype=np.uint64) + np.uint64(start)

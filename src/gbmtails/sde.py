@@ -16,32 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, StreamUniformBlock, _integer, normals_from_uniforms
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+from ._checks import _integer, _positive_array, _real
+from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 
 
 @dataclass(frozen=True)
 class GbmParams:
-    """Process parameters: initial level, drift per unit time, volatility per sqrt(time)."""
+    """Process parameters: initial level, drift per unit time, volatility per sqrt(time).
+
+    Each is stored as a finite ``float`` (``_checks._real``): x0 > 0, alpha >= 0.
+    """
 
     x0: float
     r: float
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", _require_finite("x0", self.x0))
-        object.__setattr__(self, "r", _require_finite("r", self.r))
-        object.__setattr__(self, "alpha", _require_finite("alpha", self.alpha))
-        if self.x0 <= 0:
-            raise ValueError(f"x0 must be strictly positive, got {self.x0}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        object.__setattr__(self, "x0", _real("x0", self.x0, 0.0, strict=True))
+        object.__setattr__(self, "r", _real("r", self.r))
+        object.__setattr__(self, "alpha", _real("alpha", self.alpha, 0.0))
 
     @property
     def log_drift(self) -> float:
@@ -51,16 +44,14 @@ class GbmParams:
 
 @dataclass(frozen=True)
 class LogTerminalLaw:
-    """Normal law of ln X_t at a fixed horizon."""
+    """Normal law of ln X_t at a fixed horizon: a finite ``float`` mean and variance >= 0."""
 
     mean: float
     variance: float
 
     def __post_init__(self):
-        _require_finite("mean", self.mean)
-        _require_finite("variance", self.variance)
-        if self.variance < 0:
-            raise ValueError(f"variance must be non-negative, got {self.variance}")
+        object.__setattr__(self, "mean", _real("mean", self.mean))
+        object.__setattr__(self, "variance", _real("variance", self.variance, 0.0))
 
     @property
     def std(self) -> float:
@@ -69,7 +60,10 @@ class LogTerminalLaw:
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Discretized trajectory. ``resampled`` counts positivity-rejected increments."""
+    """Discretized trajectory. ``resampled`` counts positivity-rejected increments.
+
+    ``values`` must be finite and strictly positive.
+    """
 
     times: np.ndarray
     values: np.ndarray
@@ -77,29 +71,20 @@ class SamplePath:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        values = _positive_array("values", self.values)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if times.size == 0 or times[0] != 0.0:
             raise ValueError("times must start at 0")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(values <= 0):
-            raise ValueError("values must be strictly positive")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
 
-def _check_horizon(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"horizon t must be finite and non-negative, got {t!r}")
-    return t
-
-
 def terminal_log_law(params: GbmParams, t: float) -> LogTerminalLaw:
     """Closed-form law of ln X_t: Normal(ln x0 + (r - alpha^2/2) t, alpha^2 t)."""
-    t = _check_horizon(t)
+    t = _real("t", t, 0.0)
     mean = math.log(params.x0) + params.log_drift * t
     variance = params.alpha * params.alpha * t
     return LogTerminalLaw(mean=mean, variance=variance)
@@ -127,8 +112,9 @@ def levels_from_logs(params: GbmParams, logs) -> np.ndarray:
 
 def sample_terminal_log(params: GbmParams, t: float, rng: RngStream) -> float:
     """Exact draw of ln X_t (no discretization error)."""
-    terminal_log_law(params, t)  # rejects a bad horizon and a law that is not finite
-    return float(terminal_log_from_normals(params, float(t), rng.normal()))
+    t = _real("t", t, 0.0)
+    terminal_log_law(params, t)  # rejects a law that is not finite
+    return float(terminal_log_from_normals(params, t, rng.normal()))
 
 
 def sample_terminal_log_batch(
@@ -139,12 +125,10 @@ def sample_terminal_log_batch(
     Output is a pure function of (params, t, n, master_seed) and therefore
     independent of how callers shard the work.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    terminal_log_law(params, t)  # rejects a bad horizon and a law that is not finite
+    n, t = _integer("n", n, 1), _real("t", t, 0.0)
+    terminal_log_law(params, t)  # rejects a law that is not finite
     return StreamUniformBlock(master_seed, width=1).rows(
-        lambda u: terminal_log_from_normals(params, float(t), normals_from_uniforms(u[:, 0])),
+        lambda u: terminal_log_from_normals(params, t, normals_from_uniforms(u[:, 0])),
         0, n, np.empty(n))
 
 
@@ -166,12 +150,7 @@ def euler_path(params: GbmParams, t: float, n_steps: int, rng: RngStream) -> Sam
     in step order, so paths with zero rejections consume exactly
     ``n_steps`` normals.
     """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0:
-        raise ValueError(f"t must be finite and positive, got {t!r}")
-    n_steps = _integer("n_steps", n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    t, n_steps = _real("t", t, 0.0, strict=True), _integer("n_steps", n_steps, 1)
     dt = t / n_steps
     drift = 1.0 + params.r * dt
     vol = params.alpha * math.sqrt(dt)

@@ -383,7 +383,9 @@ class TestFit:
         assert code == 0
         doc = json.loads(out)
         assert "2 <= k < n" in doc["errors"]["pareto_tail"]
-        assert [m["model"] for m in doc["models"]] == ["double_pareto", "lognormal"]
+        # log-equispaced values: the double-Pareto likelihood peaks at a one-sided limit
+        assert "one tail has no data" in doc["errors"]["double_pareto"]
+        assert [m["model"] for m in doc["models"]] == ["lognormal"]
 
     def test_fit_replay_rejects_recorded_options_it_cannot_honour(self, capsys, tmp_path,
                                                                   monkeypatch):
@@ -1116,6 +1118,17 @@ class TestEntryPoint:
                  "--nu", "0.01"],
                 env=_stdout_env(unbuffered), stdout=full, stderr=subprocess.PIPE, text=True,
             )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--version"], ["solve", "--help"]], ids=["version", "help"])
+    def test_argparse_text_that_cannot_be_written_exits_3(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "gbmtails", *argv],
+                                  env=_stdout_env(unbuffered), stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
 

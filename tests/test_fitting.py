@@ -203,18 +203,35 @@ class TestDoubleParetoFit:
         assert abs(m2 - truth.m2) / truth.m2 < 0.05
         assert math.isfinite(ll)
 
-    def test_symmetric_data_exact_center_and_equal_rates(self):
-        # sqrt(H) + sqrt(L) is concave between data values and symmetric about
-        # 1 here, so the middle value is its maximum: the MLE centre is 0.5 or
-        # 2, which tie, and beats the best fit at c = 1 with its equal rates
+    def test_log_equispaced_five_points_are_one_sided(self):
+        # the best interior centres, 0.5 and 2, score (1 + sqrt(6)) sqrt(ln 2)
+        # (ll -7.5025); the limit c -> 0.25 scores sqrt(H) = sqrt(10 ln 2),
+        # lower, and reaches ll -6.633: no interior fit is the supremum
         x = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-        center, _, _, ll = fit_dpareto_mle(SampleSet(x))
-        assert center in (0.5, 2.0)
-        assert fit_dpareto_mle(SampleSet(1.0 / x))[3] == ll
-        m = 5 / (2 * 3.0 * math.log(2.0))  # H = L = 3 ln 2 at c = 1, so m1 = m2 = n / (2H)
-        at_one = float(np.sum(np.log(dpareto_pdf(DoubleParetoDist(1.0, m, m), x))))
-        assert ll == pytest.approx(-7.5025, abs=1e-4)
-        assert at_one == pytest.approx(-7.5448, abs=1e-4) and at_one < ll
+        with pytest.raises(OneSidedDataError):
+            fit_dpareto_mle(SampleSet(x))
+
+    def test_pareto_sample_is_one_sided_and_prefers_pareto_tail(self):
+        # the best interior centre sits next to the minimum with a huge m2
+        # (103,310, ll -63684.405); the limit c -> min(x) reaches -63683.483
+        x = (1.0 - RngStream(80, 0).uniforms(50_000)) ** (-1.0 / 1.5)
+        with pytest.raises(OneSidedDataError):
+            fit_dpareto_mle(SampleSet(x))
+        report = compare_models(SampleSet(x))
+        assert "double_pareto" in report.errors
+        assert report.preferred == "pareto_tail"
+
+    def test_symmetric_data_exact_center_and_equal_rates(self):
+        # symmetric in logs about 1 and peaked there: the middle value scores
+        # 2 sqrt(9 ln 2), below its neighbours and the edges (sqrt(42 ln 2)),
+        # so the centre is exactly 1 and H = L = 9 ln 2 give m1 = m2 = n / (2H)
+        x = 2.0 ** np.array([-6, -2, -1, 0, 1, 2, 6])
+        center, m1, m2, ll = fit_dpareto_mle(SampleSet(x))
+        assert center == 1.0 and m1 == m2
+        assert m1 == pytest.approx(7 / (2 * 9 * math.log(2.0)), rel=1e-14)
+        assert fit_dpareto_mle(SampleSet(1.0 / x)) == (center, m1, m2, ll)
+        at_fit = float(np.sum(np.log(dpareto_pdf(DoubleParetoDist(center, m1, m2), x))))
+        assert ll == pytest.approx(at_fit, rel=1e-12)
 
     def test_one_sided_error_when_no_two_sided_candidate(self):
         with pytest.raises(OneSidedDataError):
@@ -287,6 +304,11 @@ def _reference_fit_dpareto_mle(samples):
     score = np.full(uniq.size, np.inf)
     score[valid] = np.sqrt(s_lo[valid]) + np.sqrt(s_hi[valid])
     low = float(np.min(score))
+    if min(math.sqrt(s_hi[0]), math.sqrt(s_lo[-1])) <= low:  # the limits L = 0 and H = 0
+        raise OneSidedDataError(
+            "the likelihood is highest with the center at the smallest or largest value, "
+            "where one tail has no data; fit the pareto_tail model"
+        )
     tied = np.flatnonzero(score <= low + 64.0 * np.spacing(low))
     best = int(tied[np.argmin(np.abs(n_lo[tied] - n_hi[tied]))])
 

@@ -159,7 +159,7 @@ def test_hia_past_read_ahead(tmp_path, capsys):
     assert main(["hia", "--agents", "30", "--steps", "150", "--seed", "3", "--out", str(out)]) == 0
     stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert _sha(out) == "9d9229a34c7f816532d1f222fb2ed5731984c157aa66fc48b338f5a48bdaf71c"
-    assert stdout == "9ff858e4c59f1320529ab10a27266d6d04e6c62e4ef7ea27f66fc81fad4be895"
+    assert stdout == "0f7304271f6e2709453dbfb5959dfb7266b90c87132e91e4d70a4c9d9763c092"
 
 
 def test_hia_in_7_row_blocks(tmp_path, capsys, monkeypatch):
@@ -204,7 +204,7 @@ def test_figure1_full_grid(capsys):
 
 SWEEP = ("sweep", "--vary", "noise_std", "--min", "0.1", "--max", "0.5",
          "--points", "3", "--seeds", "2", "--agents", "40", "--steps", "15", "--seed", "5")
-SWEEP_CSV = "54f8e8d2ddb196bf127303256f5d6ebf7e8a79936e007d6f8259c645f8e64fde"
+SWEEP_CSV = "4265c0d5c30d292f61a4d910f8821dee44f894115f3275fd2ed4a64da0f9ad1e"
 SWEEP_STDOUT = "638e4e42be58e8d6b721346a044715f36dfd189642bb986340247efc4385b910"
 
 

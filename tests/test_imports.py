@@ -94,3 +94,12 @@ def test_unknown_attribute_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
+
+
+def test_the_numeric_rule_imports_no_other_gbmtails_module():
+    code = ("import json, sys\nimport gbmtails._checks\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('gbmtails'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["gbmtails", "gbmtails._checks"]
