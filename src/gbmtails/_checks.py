@@ -1,13 +1,13 @@
 """The one rule for the numbers the library is given.
 
 A count is an ``int`` or numpy integer, a real parameter any ``numbers.Real``
-(numpy scalars included) and a sample an array of finite positive values.
-A bool, a string or any other type is refused with ``TypeError``, never
-coerced; a value outside its range raises ``ValueError``. Each check returns
-the value converted: an ``int``, a Python ``float`` or a float64 array. A
-float32 parameter thus computes in float64, where NumPy 2 would keep its
-scalar arithmetic in float32. This module imports nothing else of the
-package, so every module can use it.
+(numpy scalars included) and an array one of integer or float dtype. Any other
+type (a bool, a string; a bool, string, object or complex array) is refused
+with ``TypeError``, never coerced; a value not finite or outside its range
+raises ``ValueError``. Each check returns the value converted: an ``int``, a
+Python ``float`` or a float64 array (a float64 one uncopied). A float32 input
+thus computes in float64, where NumPy 2 would keep float32 scalar arithmetic.
+This module imports nothing else of the package, so every module can use it.
 """
 
 from __future__ import annotations
@@ -42,9 +42,14 @@ def _real(name: str, value, low: float = -math.inf, strict: bool = False) -> flo
     return value
 
 
-def _positive_array(name: str, values) -> np.ndarray:
-    """``values`` as a float64 array whose values are all finite and strictly positive."""
-    values = np.asarray(values, dtype=float)
-    if not np.all((values > 0) & (values < np.inf)):
-        raise ValueError(f"{name} must be finite and strictly positive")
+def _real_array(name: str, values, low: float = -math.inf, strict: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, all finite and at least ``low`` (above it if ``strict``)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be real numbers, got dtype {values.dtype}")
+    values = values.astype(np.float64, copy=False)
+    # only boolean temporaries, all freed before the caller's arithmetic on a large sample
+    if not np.all(np.isfinite(values) & (values > low if strict else values >= low)):
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{name} must be finite numbers{bound}")
     return values

@@ -43,8 +43,8 @@ from .fitting import (
     SampleSet,
     compare_models,
 )
-from ._checks import _integer, _positive_array, _real
-from .rng import _child_keys, _uniforms, normals_from_uniforms
+from ._checks import _integer, _real, _real_array
+from .rng import _check_key, _child_keys, _uniforms, normals_from_uniforms
 from .serialization import BLOCK_ROWS
 
 # Steps of shocks in one window; a multiple of 4, so a window from draw 0 on
@@ -91,7 +91,7 @@ class Population:
     clamped: int = 0
 
     def __post_init__(self):
-        sizes = _positive_array("sizes", self.sizes)
+        sizes = _real_array("sizes", self.sizes, 0.0, strict=True)
         if sizes.ndim != 1 or sizes.size == 0:
             raise ValueError("sizes must be a non-empty 1-d array")
         object.__setattr__(self, "sizes", sizes)
@@ -111,7 +111,7 @@ def _clamp(sizes: np.ndarray, floor: float) -> int:
 
 
 def _checked_shocks(params: HiaParams, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
+    z = _real_array("shocks", z)
     if z.shape != (params.n_agents,):
         raise ValueError(f"shocks must have shape ({params.n_agents},), got {z.shape}")
     return z
@@ -231,8 +231,8 @@ def run_sweep(
     Returns per-point means of effective_alpha and fitted m1 plus the
     Spearman rank correlation between the varied values and mean m1. Run
     seeds are ``master_seed + 100000 * point_index + replicate``, so more
-    than 100000 seeds, or a master seed that puts the last run seed past
-    2**64 - 1, is rejected before any run: either would alias runs. The runs
+    than 100000 seeds, or a master seed that is not a key or puts the last
+    run seed past 2**64 - 1 (runs would alias), is rejected before any run. The runs
     are independent and go to ``map(run_hia, params_list, seeds)``: serial by
     default; the ``sweep`` command passes its process map, which runs them here
     on one usable CPU. A map that returns results in order gives the same result.
@@ -245,6 +245,7 @@ def run_sweep(
     n_seeds = _integer("n_seeds", n_seeds, 1)
     if n_seeds > _SEED_STRIDE:
         raise ValueError(f"n_seeds must be <= {_SEED_STRIDE}, got {n_seeds}")
+    master_seed = _check_key("master_seed", master_seed)
     max_seed = 2**64 - 1 - _SEED_STRIDE * (len(values) - 1) - (n_seeds - 1)
     if master_seed > max_seed:
         raise ValueError(f"master seed {master_seed} puts run seeds past 2**64 - 1; "

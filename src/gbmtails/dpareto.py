@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._checks import _positive_array, _real
+from ._checks import _real, _real_array
 from .serialization import write_float_rows, write_text
 
 if TYPE_CHECKING:  # annotations only: solving exponents needs no sampler
@@ -229,7 +229,7 @@ def dpareto_pdf(dist: DoubleParetoDist, x):
     """
     c, m1, m2 = dist.center, dist.m1, dist.m2
     norm = m1 * m2 / ((m1 + m2) * c)
-    ratio = _positive_array("levels", x) / c
+    ratio = _real_array("levels", x, 0.0, strict=True) / c
     return _two_sided(ratio, ratio <= 1.0, lambda r: norm * r ** (m2 - 1.0),
                       lambda r: norm * r ** (-m1 - 1.0))
 
@@ -237,7 +237,7 @@ def dpareto_pdf(dist: DoubleParetoDist, x):
 def dpareto_cdf(dist: DoubleParetoDist, x):
     """Closed-form CDF; equals m1/(m1+m2) at the center."""
     m1, m2 = dist.m1, dist.m2
-    ratio = _positive_array("levels", x) / dist.center
+    ratio = _real_array("levels", x, 0.0, strict=True) / dist.center
     # 1 - k r^-m1 bit for bit, 1.0 added last so numpy reuses the temporary array
     return _two_sided(ratio, ratio <= 1.0, lambda r: (m1 / (m1 + m2)) * r ** m2,
                       lambda r: -(m2 / (m1 + m2)) * r ** (-m1) + 1.0)
@@ -245,8 +245,8 @@ def dpareto_cdf(dist: DoubleParetoDist, x):
 
 def dpareto_quantile(dist: DoubleParetoDist, p):
     """Exact inverse of the CDF on (0, 1); the split mass maps to c * 1.0 ** (1/m2) = c."""
-    p = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(p)) or np.any((p <= 0) | (p >= 1)):
+    p = _real_array("probabilities", p, 0.0, strict=True)
+    if np.any(p >= 1):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
     c, m1, m2, split = dist.center, dist.m1, dist.m2, dist.split
     return _two_sided(p, p <= split, lambda q: c * (q / split) ** (1.0 / m2),
@@ -376,7 +376,7 @@ def exponent_curves(r: float, nu: float, alpha_grid) -> np.ndarray:
     """
     r = _real("r", r, 0.0, strict=True)
     nu = _real("nu", nu, 0.0, strict=True)
-    grid = _positive_array("alpha grid values", alpha_grid)
+    grid = _real_array("alpha grid values", alpha_grid, 0.0, strict=True)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("alpha_grid must be a non-empty 1-d array")
     alpha_star = math.sqrt(2.0 * r)

@@ -14,14 +14,13 @@ reads those arrays, so results are byte-identical under permutation.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._checks import _positive_array
+from ._checks import _integer, _real_array
 from ._ndtr import ndtr
 from .dpareto import DoubleParetoDist, dpareto_cdf
 from .serialization import (BATCH_CSV_HEADER, BLOCK_ROWS, SAMPLE_CSV_HEADER, atomic_write,
@@ -59,7 +58,7 @@ class SampleSet:
     source: str = ""
 
     def __post_init__(self):
-        values = _positive_array("values", self.values).view()
+        values = _real_array("values", self.values, 0.0, strict=True).view()
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-d array")
         values.flags.writeable = False  # a view, so the caches below cannot go stale
@@ -159,11 +158,8 @@ def hill_estimator(samples: SampleSet, k: int) -> float:
     """
     x = samples.sorted
     n = x.size
-    # int(2.9) would fit k = 2, and True would fit k = 1
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if not (2 <= k < n):
+    k = _integer("k", k, 2)
+    if k >= n:
         raise ValueError(f"k must satisfy 2 <= k < n = {n}, got {k}")
     top = samples.logs[n - k :]
     threshold = math.log(x[n - k - 1])
@@ -358,7 +354,8 @@ def compare_models(
 
     Per-model failures (degenerate spread, one-sided data, ...) are
     recorded under ``errors`` while the remaining models are still
-    reported. Fits are independent of each other and of evaluation order.
+    reported; a non-integer ``hill_k`` is not recorded but raises ``TypeError``.
+    Fits are independent of each other and of evaluation order.
     """
     n = len(samples)
     if n < 10:
@@ -429,10 +426,7 @@ def loglog_histogram(samples: SampleSet, bins_per_decade: int) -> np.ndarray:
     density is count / (n * linear bin width), so density * width sums to
     one. Empty bins are omitted; bin centers are geometric midpoints.
     """
-    if (isinstance(bins_per_decade, bool) or not isinstance(bins_per_decade, numbers.Integral)
-            or bins_per_decade < 1):
-        raise ValueError(f"bins_per_decade must be an integer >= 1, got {bins_per_decade!r}")
-    bins_per_decade = int(bins_per_decade)
+    bins_per_decade = _integer("bins_per_decade", bins_per_decade, 1)
     x = samples.sorted
     n = x.size
     lo, hi = float(x[0]), float(x[-1])

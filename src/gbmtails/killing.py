@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _integer, _real
+from ._checks import _integer, _real, _real_array
 from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 from .sde import GbmParams, levels_from_logs, terminal_log_from_normals
 from .serialization import BATCH_CSV_HEADER, atomic_write, write_float_rows, write_text
@@ -47,11 +47,11 @@ class KilledSample:
 def kill_time_from_uniform(u, schedule: KillSchedule):
     """Inverse CDF of the exponential horizon; maps u=0 to exactly 0.
 
-    Accepts scalars or arrays in [0, 1).
+    Accepts a real scalar or array (``_checks._real_array``) of values in [0, 1).
     """
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u >= 1)):
-        raise ValueError("uniform input must lie in [0, 1)")
+    u = _real_array("u", u, 0.0)
+    if np.any(u >= 1):
+        raise ValueError("u must lie in [0, 1)")
     out = -np.log1p(-u) / schedule.nu
     return float(out) if out.ndim == 0 else out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _integer, _positive_array, _real
+from ._checks import _integer, _real, _real_array
 from .rng import RngStream, StreamUniformBlock, normals_from_uniforms
 
 
@@ -62,7 +62,7 @@ class LogTerminalLaw:
 class SamplePath:
     """Discretized trajectory. ``resampled`` counts positivity-rejected increments.
 
-    ``values`` must be finite and strictly positive.
+    ``times`` must be finite and rise strictly from 0, ``values`` finite and > 0.
     """
 
     times: np.ndarray
@@ -70,8 +70,8 @@ class SamplePath:
     resampled: int = 0
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = _positive_array("values", self.values)
+        times = _real_array("times", self.times)
+        values = _real_array("values", self.values, 0.0, strict=True)
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if times.size == 0 or times[0] != 0.0:

@@ -370,6 +370,15 @@ class TestSweep:
             run_sweep(base, "noise_std", [0.1, 0.2], 100_001, 0, map=recording)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("seed,error", [(True, TypeError), (-1, ValueError), (1.0, TypeError)])
+    def test_checks_its_master_seed_before_any_run(self, seed, error):
+        # True would run as seed 1, and -1 fail only inside the first run
+        def no_runs(*args):
+            raise AssertionError("map was called")
+
+        with pytest.raises(error, match="^master_seed must"):
+            run_sweep(params(n_agents=40, steps=3), "noise_std", [0.1, 0.2], 1, seed, map=no_runs)
+
 
 def reference_modal(labels):
     """The sweep's modal model written out as a counting loop."""

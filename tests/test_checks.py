@@ -2,21 +2,28 @@
 
 Every entry point that takes a real parameter refuses a bool and a string
 with a ``TypeError`` naming the field, and keeps an int or a float32 as the
-Python float it equals, so a float32 input computes in float64.
+Python float it equals, so a float32 input computes in float64. Every entry
+point that takes an array refuses a bool or a string array the same way,
+refuses a NaN with a ``ValueError``, and computes an int or a float32 array
+as the float64 array it equals.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbmtails._checks import _integer, _positive_array, _real
-from gbmtails.agents import HiaParams, run_hia
-from gbmtails.dpareto import (DoubleParetoDist, classify_regime, dpareto_cdf,
-                              solve_exponents_canonical)
-from gbmtails.killing import KilledSample, KillSchedule
-from gbmtails.sde import GbmParams, terminal_log_law
+import gbmtails
+from gbmtails._checks import _integer, _real, _real_array
+from gbmtails.agents import HiaParams, Population, init_population, run_hia, step_population
+from gbmtails.dpareto import (DoubleParetoDist, classify_regime, dpareto_cdf, dpareto_pdf,
+                              dpareto_quantile, exponent_curves, solve_exponents_canonical)
+from gbmtails.fitting import SampleSet
+from gbmtails.killing import KilledSample, KillSchedule, kill_time_from_uniform
+from gbmtails.sde import GbmParams, SamplePath, terminal_log_law
 
 PARAMS = GbmParams(x0=1.0, r=0.05, alpha=0.2)
 
@@ -89,6 +96,65 @@ def test_ints_and_float32s_become_the_floats_they_equal(entry, value):
     assert result == build(float(value))
 
 
+DIST = DoubleParetoDist(1.0, 1.5, 0.8)
+AGENTS = HiaParams(n_agents=3, noise_std=0.3)
+
+# name -> (build from the array, the argument it sets, the result as one
+# array, a float64 array every float32 holds exactly, an int array it
+# accepts; None: no int array is accepted)
+ARRAY_ENTRY_POINTS = {
+    "SampleSet.values": (SampleSet, "values", lambda o: o.values,
+                         [0.5, 2.0, 3.0], [1, 2, 3]),
+    "Population.sizes": (Population, "sizes", lambda o: o.sizes, [0.5, 2.0, 3.0], [1, 2, 3]),
+    "SamplePath.times": (lambda v: SamplePath(times=v, values=np.ones(3)), "times",
+                         lambda o: o.times, [0.0, 0.5, 2.0], [0, 1, 2]),
+    "SamplePath.values": (lambda v: SamplePath(times=np.arange(3.0), values=v), "values",
+                          lambda o: o.values, [0.5, 2.0, 3.0], [1, 2, 3]),
+    "dpareto_pdf.levels": (lambda v: dpareto_pdf(DIST, v), "levels", lambda o: o,
+                           [0.5, 2.0, 10.0], [1, 2, 10]),
+    "dpareto_cdf.levels": (lambda v: dpareto_cdf(DIST, v), "levels", lambda o: o,
+                           [0.5, 2.0, 10.0], [1, 2, 10]),
+    "dpareto_quantile.probabilities": (lambda v: dpareto_quantile(DIST, v), "probabilities",
+                                       lambda o: o, [0.25, 0.5, 0.75], None),
+    "exponent_curves.alpha_grid": (lambda v: exponent_curves(0.05, 0.01, v), "alpha grid values",
+                                   lambda o: o, [0.125, 0.5, 2.0], [1, 2, 3]),
+    "kill_time_from_uniform.u": (lambda v: kill_time_from_uniform(v, KillSchedule(nu=0.01)), "u",
+                                 lambda o: o, [0.0, 0.25, 0.5], [0, 0, 0]),
+    "init_population.shocks": (lambda v: init_population(AGENTS, v), "shocks",
+                               lambda o: o.sizes, [-1.0, 0.0, 2.5], [-1, 0, 2]),
+    "step_population.shocks": (lambda v: step_population(Population(np.arange(1.0, 4.0)),
+                                                         AGENTS, v), "shocks",
+                               lambda o: o.sizes, [-1.0, 0.0, 2.5], [-1, 0, 2]),
+}
+
+
+@pytest.mark.parametrize("dtype", [bool, str], ids=["bool", "numeric_string"])
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_bool_and_string_arrays_are_refused_naming_the_argument(entry, dtype):
+    build, name, _, values, _ = ARRAY_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be real numbers, got dtype"):
+        build(np.array(values).astype(dtype))
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_a_nan_is_refused_naming_the_argument(entry):
+    build, name, _, values, _ = ARRAY_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be finite numbers"):
+        build(np.array(values[:-1] + [math.nan]))
+
+
+@pytest.mark.parametrize("entry,narrow", [
+    pytest.param(entry, narrow, id=f"{entry}-{narrow.dtype}")
+    for entry, (*_, values, ints) in ARRAY_ENTRY_POINTS.items()
+    for narrow in [np.array(values, np.float32)] + ([np.array(ints)] if ints else [])
+])
+def test_int_and_float32_arrays_give_the_float64_results_bit_for_bit(entry, narrow):
+    build, _, result, _, _ = ARRAY_ENTRY_POINTS[entry]
+    wide = np.asarray(result(build(narrow.astype(np.float64))))
+    assert wide.dtype == np.float64
+    assert np.asarray(result(build(narrow))).tobytes() == wide.tobytes()
+
+
 def test_a_float32_rate_gives_the_float64_law_bit_for_bit():
     x = np.array([0.5, 2.0, 10.0])
     narrow = dpareto_cdf(DoubleParetoDist(1.0, np.float32(1.5), 0.8), x)
@@ -127,9 +193,39 @@ class TestRule:
         with pytest.raises(ValueError, match=r"^x must be a finite number > 0, got 0\.0$"):
             _real("x", 0.0, 0.0, strict=True)
 
-    def test_positive_array(self):
-        out = _positive_array("v", [1, np.float32(2.5)])
+    def test_real_array(self):
+        out = _real_array("v", [1, np.float32(2.5)], 0.0, strict=True)
         assert out.dtype == np.float64 and out.tolist() == [1.0, 2.5]
+        wide = np.arange(4.0)[::2]
+        assert _real_array("v", wide, 0.0) is wide  # float64 is never copied
+        assert _real_array("v", np.uint64(2**63)).tolist() == 2.0**63
+        assert _real_array("v", [-1e300, 0]).tolist() == [-1e300, 0.0]
+        for bad in ([True], ["1"], [1, None], [Fraction(1, 2)], [1j], "1", None):
+            with pytest.raises(TypeError, match="^v must be real numbers, got dtype"):
+                _real_array("v", bad)
         for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, math.nan], [math.inf]):
-            with pytest.raises(ValueError, match="^v must be finite and strictly positive$"):
-                _positive_array("v", bad)
+            with pytest.raises(ValueError, match="^v must be finite numbers > 0$"):
+                _real_array("v", bad, 0.0, strict=True)
+        with pytest.raises(ValueError, match="^v must be finite numbers >= 0$"):
+            _real_array("v", [0.0, -0.5], 0.0)
+        with pytest.raises(ValueError, match="^v must be finite numbers$"):
+            _real_array("v", [-math.inf])
+
+
+def test_only_checks_decides_what_a_number_is():
+    """The numeric rule lives in ``_checks``: no other module imports ``numbers``,
+    and only the JSON rules (``cli``'s parameters, ``serialization``'s encoder)
+    ask whether a value is a bool."""
+    importers, bool_tests = set(), set()
+    for path in sorted(Path(gbmtails.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+                importers.add(path.stem)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for n in ast.walk(node.args[1]))):
+                bool_tests.add(path.stem)
+    assert importers == {"_checks"}
+    assert "_checks" in bool_tests and bool_tests <= {"_checks", "cli", "serialization"}
